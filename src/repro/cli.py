@@ -83,6 +83,11 @@ from repro.telemetry.summary import format_summary, summarize_trace
 
 _logger = logging.getLogger("repro")
 
+#: Finished-span buffer of a pipeline whose spans nobody exports (no
+#: ``--trace-out``).  Metrics never read it, so a long-lived ``repro
+#: serve`` keeps it small instead of holding the 100,000-event default.
+UNTRACED_SPAN_EVENTS = 1000
+
 
 def _build_common_parser() -> argparse.ArgumentParser:
     """Parent parser with the flags every subcommand shares."""
@@ -469,7 +474,7 @@ def _command_serve(arguments) -> int:
     # /metrics needs a live registry even when no --metrics-out capture
     # was requested, so serving always runs on a real pipeline.
     if not telemetry.enabled():
-        telemetry.configure()
+        telemetry.configure(max_events=UNTRACED_SPAN_EVENTS)
     pool = None
     if arguments.pool_workers:
         # Pre-warm the shared pool so co-located condense_sharded jobs
@@ -486,7 +491,6 @@ def _command_serve(arguments) -> int:
             bootstrap_size=arguments.bootstrap_size,
             checkpoint_every=arguments.checkpoint_every,
             fsync_every=arguments.fsync_every,
-            batch_size=arguments.batch_size,
             random_state=arguments.seed,
             worker_pool=pool,
         )
@@ -501,7 +505,6 @@ def _command_serve(arguments) -> int:
             arguments.shards, arguments.k,
             strategy=arguments.strategy, sampler=arguments.sampler,
             bootstrap_size=arguments.bootstrap_size,
-            batch_size=arguments.batch_size,
             random_state=arguments.seed,
             worker_pool=pool,
         )
@@ -709,14 +712,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "shard; restarting against the same DIR "
                             "recovers the exact pre-shutdown model")
     serve.add_argument("--checkpoint-every", type=int, default=256,
-                       help="per-shard snapshot cadence in operations "
+                       help="per-shard snapshot cadence in WAL entries, "
+                            "one per request the shard takes part in "
                             "(default: 256)")
     serve.add_argument("--fsync-every", type=int, default=1,
                        help="per-shard WAL group-commit batch "
                             "(default: 1, fsync every entry)")
-    serve.add_argument("--batch-size", type=int, default=1,
-                       help="per-shard vectorized ingest block size "
-                            "(default: 1, record-at-a-time)")
     serve.add_argument("--bootstrap-size", type=int, default=None,
                        help="records buffered before the shard router "
                             "is fitted (default: max(2*k*shards, "
@@ -815,7 +816,10 @@ def main(argv=None) -> int:
         # No capture requested: the instrumented paths stay on the
         # no-op pipeline.
         return arguments.handler(arguments)
-    pipeline = telemetry.configure()
+    if trace_out is None:
+        pipeline = telemetry.configure(max_events=UNTRACED_SPAN_EVENTS)
+    else:
+        pipeline = telemetry.configure()
     try:
         return arguments.handler(arguments)
     finally:

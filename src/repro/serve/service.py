@@ -18,8 +18,9 @@ transient trusted-side input buffer — the one place raw records live,
 exactly as in the paper's static-database bootstrap), then fits the
 router on them, flushes them through it into the shards, and persists
 the router's hyperplane aggregates as ``router.json`` next to the
-shard directories.  From then on every record is routed and condensed
-synchronously.  :meth:`close` checkpoints and closes every shard, and
+shard directories.  From then on every request is routed and condensed
+synchronously, each shard's slice as one block and one WAL entry.
+:meth:`close` checkpoints and closes every shard, and
 :meth:`open` on the same root recovers each shard from its
 WAL/checkpoints — so a restart *is* failover: the recovered
 :meth:`model` is bit-identical to the pre-shutdown statistics.
@@ -70,6 +71,12 @@ ROUTER_FILE = "router.json"
 #: Shard durability sub-directory name pattern.
 SHARD_DIR_FORMAT = "shard-{:03d}"
 
+#: Most rows one shard condenses in a single ``ingest_block`` call.  A
+#: shard's slice of a request is one block (one ``batch`` WAL entry,
+#: one fsync); only a slice longer than this is cut into several, so
+#: no request body can build an unbounded distance matrix.
+MAX_BLOCK_ROWS = 4096
+
 
 class NotReadyError(RuntimeError):
     """The service cannot answer yet (no condensed groups exist)."""
@@ -113,13 +120,10 @@ class ShardedCondensationService:
         ``max(2 * k * n_shards, 8 * n_shards)`` so every shard can
         found a group immediately after the flush.
     checkpoint_every, fsync_every:
-        Per-shard durability knobs (see ``docs/durability.md``).
-    batch_size:
-        Per-shard ingest block size (see
-        :class:`~repro.core.condenser.DynamicCondenser`).  The default
-        ``1`` keeps the sequential record-at-a-time path; larger
-        values vectorize each shard's slice of every ingest request
-        and journal one ``batch`` WAL entry per block.
+        Per-shard durability knobs (see ``docs/durability.md``).  Each
+        shard journals one WAL entry per request it takes part in (more
+        only for slices past :data:`MAX_BLOCK_ROWS`), so both count
+        requests per shard.
     random_state:
         Integer seed; per-shard RNG streams are spawned from it so
         shard behavior is independent of traffic interleaving across
@@ -150,14 +154,12 @@ class ShardedCondensationService:
                  strategy="random", sampler="uniform",
                  bootstrap_size: int | None = None,
                  checkpoint_every: int = 256, fsync_every: int = 1,
-                 batch_size: int = 1, random_state: int = 0,
+                 random_state: int = 0,
                  worker_pool=None):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.n_shards = int(n_shards)
         self.k = int(k)
         self.root = None if root is None else Path(root)
@@ -174,7 +176,6 @@ class ShardedCondensationService:
         self.bootstrap_size = int(bootstrap_size)
         self.checkpoint_every = int(checkpoint_every)
         self.fsync_every = int(fsync_every)
-        self.batch_size = int(batch_size)
         self.random_state = random_state
         self.worker_pool = worker_pool
         self._lock = threading.RLock()
@@ -222,7 +223,7 @@ class ShardedCondensationService:
                     sampler=self.sampler,
                     checkpoint_every=self.checkpoint_every,
                     fsync_every=self.fsync_every,
-                    batch_size=self.batch_size,
+                    batch_size=MAX_BLOCK_ROWS,
                 )
             except RecoveryError:
                 # The directory holds nothing reconstructible (e.g. a
@@ -237,7 +238,7 @@ class ShardedCondensationService:
                 self._sequences[shard_id]
             ),
             wal_dir=wal_dir, checkpoint_every=self.checkpoint_every,
-            fsync_every=self.fsync_every, batch_size=self.batch_size,
+            fsync_every=self.fsync_every, batch_size=MAX_BLOCK_ROWS,
         )
         shard.fit()
         return shard
@@ -328,8 +329,11 @@ class ShardedCondensationService:
         Until ``bootstrap_size`` records have arrived the service
         buffers them (transient, never durable); the batch that crosses
         the threshold fits the router and flushes the whole buffer
-        through it.  Afterwards every record goes straight to its
-        shard's durable ingest path.
+        through it.  Afterwards each shard condenses its slice of the
+        batch as one block: one ``ingest_block`` call and, when
+        durable, one ``batch`` WAL entry (one fsync at the default
+        ``fsync_every=1``).  The call returns only after every touched
+        shard's entry is written.
 
         Locking: validation and routing run under the service lock
         only; the condensation work is then applied shard by shard
@@ -411,8 +415,9 @@ class ShardedCondensationService:
     def _apply_routed(self, records: np.ndarray, shard_ids) -> None:
         """Condense each shard's slice of a routed batch, per shard lock.
 
-        Runs *without* the service lock: only the target shard's lock
-        is held while its slice is condensed (and, when durable,
+        Every slice is one block (cut at :data:`MAX_BLOCK_ROWS`).  Runs
+        *without* the service lock: only the target shard's lock is
+        held while its slice is condensed (and, when durable,
         journaled), so ingest for one shard never stalls behind another
         shard's I/O or a checkpoint snapshot.
         """

@@ -13,6 +13,7 @@ distinct promises, and the tests here hold it to both:
   of the sequential pipeline.
 """
 
+import copy
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ import pytest
 from repro import telemetry
 from repro.core.condenser import ClasswiseCondenser, DynamicCondenser
 from repro.core.dynamic import DynamicGroupMaintainer
+from repro.core.statistics import GroupStatistics
 from repro.linalg.rng import rng_state
 from repro.neighbors.knn import KNeighborsClassifier
 from repro.privacy.metrics import privacy_report
@@ -258,3 +260,75 @@ class TestBatchValidation:
             DynamicCondenser(5, batch_size=0)
         with pytest.raises(ValueError, match="batch_size"):
             ClasswiseCondenser(5, batch_size=-1)
+
+
+def journaled_target(maintainer, record, path):
+    """Group id one record lands in via ``add`` or a 1-row block."""
+    events = []
+    maintainer.journal = events.append
+    if path == "add":
+        maintainer.add(record)
+    else:
+        maintainer.ingest_block(record[None, :])
+    maintainer.journal = None
+    (event,) = events
+    return event["target"]
+
+
+#: Integer points at distance exactly 5 from the origin.
+TIED_CENTRES = [
+    (3, 4), (4, 3), (5, 0), (4, -3), (3, -4), (0, -5),
+    (-3, -4), (-4, -3), (-5, 0), (-4, 3), (-3, 4), (0, 5),
+]
+
+
+def lattice_maintainer(k, centres):
+    """Maintainer whose group centroids are exactly ``centres``."""
+    groups = [
+        GroupStatistics.from_records(
+            np.repeat(np.asarray(centre, dtype=float)[None, :], k, axis=0)
+        ).to_dict()
+        for centre in centres
+    ]
+    return DynamicGroupMaintainer.from_state({
+        "k": k, "groups": groups, "n_splits": 0, "n_merges": 0,
+        "n_absorbed": k * len(centres), "rng": rng_state(
+            np.random.default_rng(0)
+        ),
+    })
+
+
+class TestTieBreakRule:
+    """A 1-row block and ``add`` pick the same group; ties go low."""
+
+    def test_one_row_block_matches_add_on_a_churned_maintainer(self):
+        base = DynamicGroupMaintainer(
+            4, initial_data=make_data(40, 200, 3), random_state=1
+        )
+        base.add_stream(make_data(41, 1500, 3))
+        assert base.n_groups > 64 and base.n_splits > 0
+        for record in make_data(42, 300, 3):
+            blocked = copy.deepcopy(base)
+            assert journaled_target(blocked, record, "block") == \
+                journaled_target(base, record, "add")
+
+    @pytest.mark.parametrize("n_far", [1, 70])
+    def test_exact_ties_pick_the_lower_group_id(self, n_far):
+        # Far groups pad the population past the k-d tree threshold
+        # (n_far=70) or keep it on the brute scan (n_far=1); the tied
+        # groups sit after them, so the lowest tied id is not 0.
+        far = [(60 + i, 60 + i % 7) for i in range(n_far)]
+        centres = far[: n_far // 2] + TIED_CENTRES + far[n_far // 2:]
+        lowest = n_far // 2
+        base = lattice_maintainer(3, centres)
+        origin = np.zeros(2)
+        # Absorbing a record equal to a centroid keeps it in place but
+        # moves it to the index's dirty overlay, so later queries mix
+        # tree and overlay candidates among the tied groups.
+        for step in [None, lowest, lowest + 5, lowest + 11]:
+            if step is not None:
+                base.add(np.asarray(centres[step], dtype=float))
+            for path in ("add", "block"):
+                assert journaled_target(
+                    copy.deepcopy(base), origin, path
+                ) == lowest

@@ -353,6 +353,50 @@ class TestTelemetryFlags:
         ])
         assert telemetry.get_pipeline() is NULL_PIPELINE
 
+    @pytest.mark.parametrize("flag, bounded", [
+        (None, True), ("--metrics-out", True), ("--trace-out", False),
+    ])
+    def test_serve_keeps_spans_only_when_traced(self, tmp_path,
+                                                monkeypatch, flag, bounded):
+        import repro.serve
+        from repro import telemetry
+        from repro.cli import UNTRACED_SPAN_EVENTS
+
+        buffered = []
+
+        class StubServer:
+            server_port = 0
+            server_address = ("127.0.0.1", 0)
+
+            def __init__(self, address, service, max_body_bytes):
+                pass
+
+            def serve_forever(self):
+                for __ in range(1500):
+                    with telemetry.span("probe"):
+                        pass
+                buffered.append(len(telemetry.get_pipeline()
+                                    .finished_spans()))
+
+            def server_close(self):
+                pass
+
+        monkeypatch.setattr(repro.serve, "AnonymizationHTTPServer",
+                            StubServer)
+        monkeypatch.setattr(repro.serve, "install_signal_handlers",
+                            lambda server, service: None)
+        argv = ["serve", "--port", "0"]
+        if flag is not None:
+            argv += [flag, str(tmp_path / "out")]
+        try:
+            assert main(argv) == 0
+        finally:
+            telemetry.disable()
+        if bounded:
+            assert buffered == [UNTRACED_SPAN_EVENTS]
+        else:
+            assert buffered[0] > 1500
+
     def test_no_flags_stays_on_null_pipeline(self, tmp_path, data_csv):
         from repro import telemetry
         from repro.telemetry import NULL_PIPELINE
