@@ -21,7 +21,11 @@ from repro import telemetry
 from repro.core.statistics import CondensedModel, GroupStatistics
 from repro.core.strategies import RandomSeedStrategy, resolve_strategy
 from repro.linalg.rng import check_random_state
-from repro.neighbors.brute import pairwise_distances
+from repro.neighbors.brute import (
+    _row_norms,
+    _squared_distances,
+    pairwise_distances,
+)
 from repro.telemetry import DEFAULT_SIZE_BUCKETS
 
 
@@ -131,13 +135,22 @@ def create_condensed_groups(
             return model
 
         with telemetry.span("condense.absorb_loop"):
+            # Distances run against one pool of rows whose squared
+            # norms are computed once; ``live`` maps each remaining
+            # record to its pool row.  Gathering the live distances in
+            # the order of ``remaining`` hands argpartition the array a
+            # gather of the remaining records would give.  The pool
+            # drops its dead rows only once at most half of it is live:
+            # compacting it per group costs as much as that gather.
+            pool = np.ascontiguousarray(data)
+            norms = _row_norms(pool)
+            live = remaining
             while remaining.shape[0] >= k:
                 seed_position = strategy.pick_seed(data, remaining, rng)
-                seed_index = remaining[seed_position]
-                distances = pairwise_distances(
-                    data[seed_index][None, :], data[remaining],
-                    squared=True,
-                )[0]
+                seed_row = live[seed_position]
+                distances = _squared_distances(
+                    pool[seed_row][None, :], pool, norms
+                )[0][live]
                 # The seed itself is at distance zero; take the k
                 # closest overall (seed plus its k-1 nearest
                 # neighbours).
@@ -153,6 +166,11 @@ def create_condensed_groups(
                 keep = np.ones(remaining.shape[0], dtype=bool)
                 keep[chosen_positions] = False
                 remaining = remaining[keep]
+                live = live[keep]
+                if 2 * live.shape[0] <= pool.shape[0]:
+                    pool = pool[live]
+                    norms = norms[live]
+                    live = np.arange(live.shape[0])
 
         if remaining.shape[0] > 0:
             with telemetry.span("condense.assign_leftovers") as leftovers:

@@ -39,14 +39,35 @@ def pairwise_distances(
             "dimensionality mismatch: "
             f"{queries.shape[1]} vs {points.shape[1]}"
         )
-    # ||q - p||^2 = ||q||^2 - 2 q·p + ||p||^2, clipped against round-off.
-    q_norms = np.einsum("ij,ij->i", queries, queries)[:, None]
-    p_norms = np.einsum("ij,ij->i", points, points)[None, :]
-    squared_distances = q_norms - 2.0 * queries @ points.T + p_norms
-    np.clip(squared_distances, 0.0, None, out=squared_distances)
+    squared_distances = _squared_distances(
+        queries, points, _row_norms(points)
+    )
     if squared:
         return squared_distances
     return np.sqrt(squared_distances)
+
+
+def _row_norms(points: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of every row of a 2-D array."""
+    return np.einsum("ij,ij->i", points, points)
+
+
+def _squared_distances(
+    queries: np.ndarray, points: np.ndarray, point_norms: np.ndarray
+) -> np.ndarray:
+    """Squared distances, given the squared norms of ``points``.
+
+    ``||q - p||^2 = ||q||^2 - 2 q·p + ||p||^2``, clipped at zero against
+    round-off.  The one place this expression lives: callers that keep
+    ``point_norms`` across many queries (the static absorb loop) get
+    the same bytes as :func:`pairwise_distances`.
+    """
+    squared_distances = queries @ points.T
+    squared_distances *= -2.0
+    squared_distances += _row_norms(queries)[:, None]
+    squared_distances += point_norms[None, :]
+    np.clip(squared_distances, 0.0, None, out=squared_distances)
+    return squared_distances
 
 
 class BruteForceIndex:

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.neighbors.brute import BruteForceIndex, pairwise_distances
+from repro.neighbors.brute import (
+    BruteForceIndex,
+    _row_norms,
+    _squared_distances,
+    pairwise_distances,
+)
 
 
 class TestPairwiseDistances:
@@ -39,6 +44,36 @@ class TestPairwiseDistances:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimensionality"):
             pairwise_distances(np.ones((2, 3)), np.ones((2, 4)))
+
+
+class TestSquaredDistanceHelper:
+    """The one distance expression behind ``pairwise_distances``."""
+
+    @staticmethod
+    def expanded(queries, points):
+        # The expression as pairwise_distances first wrote it.
+        q_norms = np.einsum("ij,ij->i", queries, queries)[:, None]
+        p_norms = np.einsum("ij,ij->i", points, points)[None, :]
+        squared = q_norms - 2.0 * queries @ points.T + p_norms
+        np.clip(squared, 0.0, None, out=squared)
+        return squared
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_byte_equal_to_pairwise_distances(self, trial):
+        rng = np.random.default_rng(trial)
+        m, n, d = rng.integers(1, (40, 300, 12))
+        queries = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-3, 4)
+        points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+        helper = _squared_distances(queries, points, _row_norms(points))
+        assert helper.tobytes() == pairwise_distances(
+            queries, points, squared=True
+        ).tobytes()
+        assert helper.tobytes() == self.expanded(queries, points).tobytes()
+
+    def test_clips_cancellation_at_zero(self):
+        points = np.full((3, 2), 1e8)
+        squared = _squared_distances(points, points, _row_norms(points))
+        assert (squared >= 0).all()
 
 
 class TestBruteForceIndex:
