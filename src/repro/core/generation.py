@@ -24,9 +24,17 @@ import time
 import numpy as np
 
 from repro import telemetry
-from repro.core.statistics import CondensedModel, GroupStatistics
+from repro.core.statistics import (
+    CondensedModel,
+    GroupStatistics,
+    stacked_eigen_systems,
+)
 from repro.linalg.rng import check_random_state
 from repro.telemetry import DEFAULT_SIZE_BUCKETS
+
+#: Groups whose eigen-systems :func:`generate_anonymized_data` computes
+#: in one stacked ``eigh`` call; bounds the stack's memory.
+_GENERATION_BLOCK = 256
 
 
 def _uniform_axis_sampler(rng, eigenvalues: np.ndarray, size: int):
@@ -115,32 +123,45 @@ def generate_group_records(
     -------
     numpy.ndarray, shape (size, d)
     """
-    if group.count == 0:
-        raise ValueError("cannot generate from an empty group")
     if size is None:
         size = group.count
     if size < 0:
         raise ValueError(f"size must be non-negative, got {size}")
     rng = check_random_state(random_state)
+    return _draw_block([group], [size], sampler, rng)[0]
+
+
+def _draw_block(groups, sizes, sampler, rng) -> list:
+    """Draw ``sizes[i]`` records from each of ``groups``, in order.
+
+    The eigen-systems of the whole block come from one stacked
+    decomposition; the sampler is then called once per group, so the
+    random stream is consumed exactly as by one-group-at-a-time draws.
+    """
     sampler = resolve_sampler(sampler)
     tick = time.perf_counter()
-    eigenvalues, eigenvectors = group.eigen_system()
+    eigenvalues, eigenvectors = stacked_eigen_systems(groups)
     telemetry.histogram_observe(
         "generation.eigen_seconds", time.perf_counter() - tick
     )
-    tick = time.perf_counter()
-    coordinates = sampler(rng, eigenvalues, size)
-    telemetry.histogram_observe(
-        "generation.draw_seconds", time.perf_counter() - tick
-    )
-    telemetry.counter_inc("generation.records", size)
-    coordinates = np.asarray(coordinates, dtype=float)
-    if coordinates.shape != (size, group.n_features):
-        raise ValueError(
-            "sampler returned wrong shape: expected "
-            f"{(size, group.n_features)}, got {coordinates.shape}"
+    parts = []
+    for group, size, values, vectors in zip(
+        groups, sizes, eigenvalues, eigenvectors
+    ):
+        tick = time.perf_counter()
+        coordinates = sampler(rng, values, size)
+        telemetry.histogram_observe(
+            "generation.draw_seconds", time.perf_counter() - tick
         )
-    return group.centroid[None, :] + coordinates @ eigenvectors.T
+        telemetry.counter_inc("generation.records", size)
+        coordinates = np.asarray(coordinates, dtype=float)
+        if coordinates.shape != (size, group.n_features):
+            raise ValueError(
+                "sampler returned wrong shape: expected "
+                f"{(size, group.n_features)}, got {coordinates.shape}"
+            )
+        parts.append(group.centroid[None, :] + coordinates @ vectors.T)
+    return parts
 
 
 def generate_anonymized_data(
@@ -187,12 +208,16 @@ def generate_anonymized_data(
                 "generation.group_size", size,
                 buckets=DEFAULT_SIZE_BUCKETS,
             )
-        parts = [
-            generate_group_records(group, size=size, sampler=sampler,
-                                   random_state=rng)
-            for group, size in zip(model.groups, sizes)
-            if size > 0
+        drawn = [
+            (group, size)
+            for group, size in zip(model.groups, sizes) if size > 0
         ]
+        parts = []
+        for start in range(0, len(drawn), _GENERATION_BLOCK):
+            groups, block_sizes = zip(
+                *drawn[start:start + _GENERATION_BLOCK]
+            )
+            parts += _draw_block(groups, block_sizes, sampler, rng)
         if not parts:
             return np.empty((0, model.n_features))
         return np.vstack(parts)

@@ -19,11 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.linalg.symmetric import (
-    covariance_from_sums,
-    sorted_eigh,
-    sums_from_covariance,
-)
+from repro.linalg.symmetric import covariance_from_sums, sums_from_covariance
 
 
 @dataclass
@@ -235,10 +231,8 @@ class GroupStatistics:
         than raising — the decomposition stays usable, at the cost of
         treating the cancellation noise as zero variance.
         """
-        eigenvalues, eigenvectors = sorted_eigh(
-            self.covariance, clip=False
-        )
-        return np.clip(eigenvalues, 0.0, None), eigenvectors
+        eigenvalues, eigenvectors = stacked_eigen_systems([self])
+        return eigenvalues[0], eigenvectors[0]
 
     def copy(self) -> "GroupStatistics":
         """Deep copy of the group statistics."""
@@ -291,6 +285,59 @@ class GroupStatistics:
             f"GroupStatistics(n_features={self.n_features}, "
             f"count={self.count})"
         )
+
+
+def stacked_eigen_systems(groups):
+    """Axis systems of several groups from one stacked decomposition.
+
+    Group ``i`` gets exactly the bytes a decomposition of its covariance
+    alone would give: the covariance is formed and symmetrized as in
+    :func:`~repro.linalg.symmetric.covariance_from_sums`, and NumPy's
+    ``eigh`` runs LAPACK once per matrix of a stack.
+
+    Parameters
+    ----------
+    groups:
+        Non-empty sequence of non-empty groups of one dimensionality
+        ``d``.
+
+    Returns
+    -------
+    eigenvalues : numpy.ndarray, shape (m, d)
+        Row ``i`` holds group ``i``'s variances along its eigenvectors,
+        decreasing and clipped to be non-negative (see
+        :meth:`GroupStatistics.eigen_system`).
+    eigenvectors : numpy.ndarray, shape (m, d, d)
+        ``eigenvectors[i]`` holds group ``i``'s eigenvectors as columns,
+        in the order of ``eigenvalues[i]``.
+
+    Raises
+    ------
+    ValueError
+        If a group is empty.
+    """
+    counts = [group.count for group in groups]
+    if 0 in counts:
+        raise ValueError("cannot decompose an empty group")
+    counts = np.array(counts, dtype=float)
+    means = np.array([group.first_order for group in groups]) / counts[:, None]
+    covariances = (
+        np.array([group.second_order for group in groups])
+        / counts[:, None, None]
+        - means[:, :, None] * means[:, None, :]
+    )
+    # (A + Aᵀ) / 2 is exactly symmetric, so one pass suffices: a
+    # second would change no bit.
+    covariances = (covariances + covariances.swapaxes(1, 2)) / 2.0
+    eigenvalues, eigenvectors = np.linalg.eigh(covariances)
+    order = np.argsort(eigenvalues, axis=1)[:, ::-1]
+    rows = np.arange(order.shape[0])[:, None]
+    # Columns gathered as rows and swapped back, so every
+    # eigenvectors[i] is column-major like a per-matrix
+    # ``vectors[:, order]``: BLAS products downstream can round
+    # differently on the other layout.
+    eigenvectors = eigenvectors.swapaxes(1, 2)[rows, order].swapaxes(1, 2)
+    return np.clip(eigenvalues[rows, order], 0.0, None), eigenvectors
 
 
 @dataclass

@@ -118,15 +118,16 @@ class TestDynamicMetrics:
 class TestGenerationMetrics:
     def test_latency_histograms_and_record_counter(self):
         pipeline = telemetry.configure()
-        model = create_condensed_groups(make_data(60), 10, random_state=0)
+        model = create_condensed_groups(make_data(600), 2, random_state=0)
         generate_anonymized_data(model, random_state=0)
         registry = pipeline.registry
         assert registry.counter("generation.records").value() == (
-            pytest.approx(60.0)
+            pytest.approx(600.0)
         )
-        assert registry.histogram("generation.eigen_seconds").count() == (
-            model.n_groups
-        )
+        # One eigendecomposition per block of 256 groups: 300 groups
+        # make two blocks; draws stay one per group.
+        assert model.n_groups == 300
+        assert registry.histogram("generation.eigen_seconds").count() == 2
         assert registry.histogram("generation.draw_seconds").count() == (
             model.n_groups
         )
