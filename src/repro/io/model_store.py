@@ -35,14 +35,28 @@ def save_model(path, model: CondensedModel, include_metadata=False
         which reference the *original* records and must never ship with
         a release.
     """
-    payload = model.to_dict()
-    if not include_metadata:
-        payload["metadata"] = {}
-    else:
-        payload["metadata"] = _jsonable_metadata(payload["metadata"])
-    payload["format_version"] = FORMAT_VERSION
+    metadata = (_jsonable_metadata(model.metadata) if include_metadata
+                else {})
+    # The file is the json.dump of {"k", "metadata", "groups",
+    # "format_version"}, written in pieces: the framing is encoded
+    # (and can fail) before the file is opened, then each group is
+    # C-encoded on its own, so no whole-model payload or string is ever
+    # built.  json.dumps keeps json.dump's separators and float repr.
+    # format_version follows "groups" and is an int, so the last "[]"
+    # is the groups placeholder even when metadata holds one.
+    head, _, tail = json.dumps({
+        "k": model.k,
+        "metadata": metadata,
+        "groups": [],
+        "format_version": FORMAT_VERSION,
+    }).rpartition("[]")
     with open(path, "w") as handle:
-        json.dump(payload, handle)
+        handle.write(head + "[")
+        for index, group in enumerate(model.groups):
+            if index:
+                handle.write(", ")
+            handle.write(json.dumps(group.to_dict()))
+        handle.write("]" + tail)
 
 
 def load_model(path, validate: bool = True) -> CondensedModel:

@@ -1,13 +1,21 @@
 """Tests for repro.io.model_store."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core.condensation import create_condensed_groups
 from repro.core.generation import generate_anonymized_data
-from repro.io.model_store import FORMAT_VERSION, load_model, save_model
+from repro.core.statistics import CondensedModel, GroupStatistics
+from repro.io.model_store import (
+    FORMAT_VERSION,
+    _jsonable_metadata,
+    load_model,
+    save_model,
+)
+from repro.parallel import condense_sharded
 
 
 class TestModelRoundTrip:
@@ -188,3 +196,123 @@ class TestPathologicalStatistics:
                                       model.groups[0].first_order)
         np.testing.assert_array_equal(loaded.groups[0].second_order,
                                       model.groups[0].second_order)
+
+
+def _oracle_save(path, model, include_metadata=False):
+    """The pre-streaming ``save_model``: one payload through ``json.dump``.
+
+    Kept as the byte oracle for the streamed writer.
+    """
+    payload = model.to_dict()
+    if not include_metadata:
+        payload["metadata"] = {}
+    else:
+        payload["metadata"] = _jsonable_metadata(payload["metadata"])
+    payload["format_version"] = FORMAT_VERSION
+    with open(path, "w") as handle:
+        json.dump(payload, handle)
+
+
+def _one_group(data):
+    return CondensedModel(groups=[GroupStatistics.from_records(data)],
+                          k=len(data))
+
+
+def _edge_floats(data):
+    sums = np.array([-0.0, 5e-324, 1e-300, 1e16, 1 / 3])
+    group = GroupStatistics(first_order=sums,
+                            second_order=np.outer(sums, sums[::-1]),
+                            count=3)
+    return CondensedModel(groups=[group, group.copy()], k=3)
+
+
+def _metadata_with_groups_key(data):
+    model = create_condensed_groups(data, k=10, random_state=0)
+    model.metadata["groups"] = []
+    model.metadata["nested"] = {"groups": [[]], "x": 1.5}
+    return model
+
+
+# (id, builder over the gaussian fixture, include_metadata)
+_BYTE_CASES = [
+    ("default",
+     lambda data: create_condensed_groups(data, k=10, random_state=0),
+     False),
+    ("static-metadata",
+     lambda data: create_condensed_groups(data, k=10, random_state=0),
+     True),
+    ("sharded-metadata",
+     lambda data: condense_sharded(data, k=10, n_shards=3, n_workers=1,
+                                   backend="serial", random_state=0),
+     True),
+    ("one-group", _one_group, False),
+    ("d-1",
+     lambda data: create_condensed_groups(data[:, :1], k=10,
+                                          random_state=0),
+     False),
+    ("edge-floats", _edge_floats, False),
+    ("k-1",
+     lambda data: create_condensed_groups(data[:30], k=1,
+                                          random_state=0),
+     False),
+    ("metadata-groups-key", _metadata_with_groups_key, True),
+]
+
+
+class TestStreamedBytes:
+    """``save_model`` streams per-group chunks with ``json.dump``'s bytes."""
+
+    @pytest.mark.parametrize(
+        "build, include_metadata",
+        [case[1:] for case in _BYTE_CASES],
+        ids=[case[0] for case in _BYTE_CASES],
+    )
+    def test_bytes_match_json_dump(self, tmp_path, gaussian_data, build,
+                                   include_metadata):
+        model = build(gaussian_data)
+        streamed = tmp_path / "streamed.json"
+        oracle = tmp_path / "oracle.json"
+        save_model(streamed, model, include_metadata=include_metadata)
+        _oracle_save(oracle, model, include_metadata=include_metadata)
+        assert streamed.read_bytes() == oracle.read_bytes()
+
+    def test_sharded_metadata_is_nested(self, tmp_path, gaussian_data):
+        # Guards the sharded case above: it must carry a nested dict.
+        model = condense_sharded(gaussian_data, k=10, n_shards=3,
+                                 n_workers=1, backend="serial",
+                                 random_state=0)
+        path = tmp_path / "model.json"
+        save_model(path, model, include_metadata=True)
+        payload = json.loads(path.read_text())
+        assert isinstance(payload["metadata"]["parallel"], dict)
+
+    def test_peak_allocation_is_per_group(self, tmp_path):
+        # A whole-model payload or string for 2,000 eight-column groups
+        # takes megabytes; one group's chunk takes a few kilobytes.
+        rng = np.random.default_rng(0)
+        model = CondensedModel(
+            groups=[GroupStatistics.from_records(rng.normal(size=(3, 8)))
+                    for _ in range(2000)],
+            k=3,
+        )
+        path = tmp_path / "model.json"
+        tracemalloc.start()
+        try:
+            save_model(path, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+        assert len(load_model(path).groups) == 2000
+
+    def test_failed_save_keeps_previous_file(self, tmp_path,
+                                             gaussian_data):
+        model = create_condensed_groups(gaussian_data, k=10,
+                                        random_state=0)
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        before = path.read_bytes()
+        model.metadata = {"x": object()}
+        with pytest.raises(TypeError):
+            save_model(path, model, include_metadata=True)
+        assert path.read_bytes() == before
