@@ -147,15 +147,18 @@ class DynamicCondenser:
         operations for ingest throughput (the at-least-once re-feed
         replays anything lost).  See ``docs/durability.md``.
     batch_size:
-        Ingest block size for :meth:`partial_fit`.  The default ``1``
-        streams record-at-a-time — bit-identical to every prior
-        release.  Larger values route each block through
+        Ingest block size for :meth:`partial_fit`: each block of this
+        many records goes through
         :meth:`~repro.core.dynamic.DynamicGroupMaintainer.ingest_block`
         (one vectorized distance matrix per block, batched absorbs)
-        and, on a durable condenser, journal one ``batch`` WAL entry
-        per block.  Exact moment conservation holds for any block
-        size; the produced grouping may differ from the sequential one
-        (assignment happens against a per-block centroid snapshot).
+        and, on a durable condenser, is journaled as one ``batch`` WAL
+        entry.  The default ``1`` streams record-at-a-time, with the
+        same groups as every prior release (since 1.11 its durable
+        entries are ``batch`` entries of one record, not ``op``
+        entries).  Exact moment conservation holds for any block
+        size; a larger block may group differently from the
+        record-at-a-time stream (assignment happens against a
+        per-block centroid snapshot).
 
     Examples
     --------
@@ -235,20 +238,11 @@ class DynamicCondenser:
             raise ValueError(
                 f"records must be 1-D or 2-D, got shape {records.shape}"
             )
-        if self.batch_size > 1:
-            for start in range(0, records.shape[0], self.batch_size):
-                block = records[start:start + self.batch_size]
-                maintainer.ingest_block(block)
-                self._position += block.shape[0]
-                self._flush_ops(kind="batch")
-        elif self._manager is None:
-            maintainer.add_stream(records)
-            self._position += records.shape[0]
-        else:
-            for record in records:
-                maintainer.add(record)
-                self._position += 1
-                self._flush_ops()
+        for start in range(0, records.shape[0], self.batch_size):
+            block = records[start:start + self.batch_size]
+            maintainer.ingest_block(block)
+            self._position += block.shape[0]
+            self._flush_ops(kind="batch")
         return self
 
     def partial_remove(self, records: np.ndarray) -> "DynamicCondenser":
@@ -499,8 +493,9 @@ class ClasswiseCondenser:
         Ingest block size for dynamic mode: each class's stream phase
         runs through
         :meth:`~repro.core.dynamic.DynamicGroupMaintainer.ingest_many`
-        with this block size.  The default ``1`` keeps the sequential
-        path; ignored in static mode.
+        with this block size.  The default ``1`` ingests
+        record-at-a-time, with the same groups as every prior release;
+        ignored in static mode.
     """
 
     def __init__(self, k: int, mode: str = "static", strategy="random",

@@ -29,23 +29,12 @@ from repro import telemetry
 from repro.core.condensation import create_condensed_groups
 from repro.core.statistics import CondensedModel, GroupStatistics
 from repro.linalg.rng import check_random_state, rng_from_state, rng_state
-from repro.linalg.updates import EigenUpdateError, absorbed_record_eigh_update
 from repro.neighbors.brute import pairwise_distances
-from repro.neighbors.centroids import CentroidIndex
 from repro.telemetry import DEFAULT_SIZE_BUCKETS
-
-#: Dimensionality floor for the rank-one eigen-update fast path: below
-#: it a dense ``sorted_eigh`` is cheaper than the secular solve chain,
-#: so the shortcut only engages on wide data.
-EIGEN_UPDATE_MIN_DIM = 16
-
-#: Relative tolerance on the trace drift accumulated by a chain of
-#: rank-one eigen updates before the split falls back to the exact path.
-EIGEN_UPDATE_TRACE_RTOL = 1e-6
 
 
 def split_group_statistics(
-    group: GroupStatistics, k: int | None = None, eigen=None
+    group: GroupStatistics, k: int | None = None
 ) -> tuple[GroupStatistics, GroupStatistics]:
     """Split one group's statistics into two children (Fig. 3).
 
@@ -59,24 +48,13 @@ def split_group_statistics(
     k:
         When given, asserts the paper's invariant ``n(M) == 2k`` and
         produces two children of exactly ``k`` records.
-    eigen:
-        Optional precomputed ``(eigenvalues, eigenvectors)`` of the
-        group covariance (decreasing order, eigenvalues non-negative),
-        e.g. advanced through
-        :func:`repro.linalg.updates.absorbed_record_eigh_update` by the
-        batch ingest path.  When omitted the exact
-        :meth:`~repro.core.statistics.GroupStatistics.eigen_system` is
-        computed.
 
     Returns
     -------
     (GroupStatistics, GroupStatistics)
         Children with identical covariance matrices (leading eigenvalue
         divided by 4) and centroids displaced by ``± sqrt(12 λ₁)/4``
-        along the leading eigenvector.  Both children carry an eigen
-        hint (their covariance differs from the parent's only in the
-        quartered leading eigenvalue), which the batch ingest path can
-        advance across later absorbs instead of redecomposing.
+        along the leading eigenvector.
     """
     if group.count < 2:
         raise ValueError(
@@ -94,10 +72,7 @@ def split_group_statistics(
         first_count = (group.count + 1) // 2
         second_count = group.count - first_count
 
-    if eigen is None:
-        eigenvalues, eigenvectors = group.eigen_system()
-    else:
-        eigenvalues, eigenvectors = eigen
+    eigenvalues, eigenvectors = group.eigen_system()
     leading_eigenvalue = float(eigenvalues[0])
     leading_vector = eigenvectors[:, 0]
 
@@ -120,13 +95,6 @@ def split_group_statistics(
     second = GroupStatistics.from_moments(
         second_centroid, child_covariance, second_count
     )
-    # The children's eigensystem is known in closed form: the parent's
-    # vectors with the leading eigenvalue quartered (re-sorted, since
-    # λ₁/4 may drop below later eigenvalues).
-    order = np.argsort(child_eigenvalues, kind="stable")[::-1]
-    hint = (child_eigenvalues[order], eigenvectors[:, order])
-    first._eigen_hint = hint
-    second._eigen_hint = hint
     return first, second
 
 
@@ -158,11 +126,12 @@ class DynamicGroupMaintainer:
     **Journaling.**  When :attr:`journal` is set to a callable, every
     completed mutation emits one sub-operation dict describing its
     *post-state* — the updated group aggregates, never the triggering
-    record.  The batch path adds an ``absorb`` sub-operation (one per
-    touched group, carrying the absorbed count) and annotates batch
-    splits with theirs.  The durable condensers collect these into WAL
-    entries;
-    :meth:`apply_op` replays them, and because each sub-operation
+    record.  Ingestion emits an ``absorb`` sub-operation per touched
+    group and a ``split`` per split, each carrying its absorbed count.
+    The durable condensers collect these into WAL entries;
+    :meth:`apply_op` replays them (including the ``ingest`` entries
+    that record-at-a-time releases before 1.11 wrote), and because
+    each sub-operation
     carries exact (JSON-round-trippable) float aggregates, replay
     reconstructs the maintainer bit for bit.  Warm-up buffering emits
     nothing: raw records are not durable, which is exactly the
@@ -183,11 +152,6 @@ class DynamicGroupMaintainer:
         self._rng = check_random_state(random_state)
         self._groups: list[GroupStatistics] = []
         self._centroids: np.ndarray | None = None
-        self._index = CentroidIndex()
-        #: Dimensionality floor for the batch split's rank-one eigen
-        #: shortcut; raise or lower to tune when the secular chain is
-        #: attempted before falling back to ``sorted_eigh``.
-        self.eigen_update_min_dim = EIGEN_UPDATE_MIN_DIM
         self._warmup: list[np.ndarray] = []
         self.n_splits = 0
         self.n_merges = 0
@@ -214,62 +178,16 @@ class DynamicGroupMaintainer:
     def add(self, record: np.ndarray) -> None:
         """Route one stream record into the nearest group (Fig. 2).
 
-        Splits the receiving group if it reaches ``2k`` records.
+        Exactly a one-row :meth:`ingest_block`: the record joins the
+        group with the nearest centroid (ties go to the lower group
+        id), which splits if it reaches ``2k`` records.
         """
         record = np.asarray(record, dtype=float)
         if record.ndim != 1:
             raise ValueError(
                 f"record must be a vector, got shape {record.shape}"
             )
-        if not self._groups:
-            # Trusted-side warm-up: the first k records are buffered
-            # only until the founding group's (Fs, Sc, n) exist, then
-            # cleared below.
-            # repro-lint: disable-next=PRIV-001 -- transient warm-up
-            self._warmup.append(record.copy())
-            if len(self._warmup) == self.k:
-                founding = GroupStatistics.from_records(
-                    np.vstack(self._warmup)
-                )
-                self._groups.append(founding)
-                self._warmup.clear()
-                self.n_absorbed += self.k
-                self._refresh_centroids()
-                telemetry.counter_inc("dynamic.absorbed", self.k)
-                telemetry.gauge_set("dynamic.groups", 1)
-                self._emit({"op": "founding",
-                            "group": founding.to_dict()})
-            return
-        if record.shape[0] != self._groups[0].n_features:
-            raise ValueError(
-                f"expected {self._groups[0].n_features} attributes, "
-                f"got {record.shape[0]}"
-            )
-        target = self._index.nearest(record, self._centroids)
-        group = self._groups[target]
-        group.add(record)
-        self.n_absorbed += 1
-        telemetry.counter_inc("dynamic.absorbed")
-        if group.count >= 2 * self.k:
-            with telemetry.span("dynamic.split") as split_span:
-                split_span.set_attribute("group_size", group.count)
-                first, second = split_group_statistics(group, k=self.k)
-                self._groups[target] = first
-                self._groups.append(second)
-                self.n_splits += 1
-                self._refresh_centroids()
-                self._index.mark_dirty(target)
-                split_span.set_attribute("n_groups", len(self._groups))
-            telemetry.counter_inc("dynamic.splits")
-            telemetry.gauge_set("dynamic.groups", len(self._groups))
-            self._emit({"op": "split", "target": target,
-                        "first": first.to_dict(),
-                        "second": second.to_dict()})
-        else:
-            self._centroids[target] = group.centroid
-            self._index.mark_dirty(target)
-            self._emit({"op": "ingest", "target": target,
-                        "group": group.to_dict()})
+        self.ingest_block(record[None, :])
 
     def add_stream(self, records) -> None:
         """Ingest an iterable of records in arrival order."""
@@ -282,16 +200,12 @@ class DynamicGroupMaintainer:
             ingest_span.set_attribute("n_groups", len(self._groups))
 
     def ingest_many(self, records, batch_size: int = 256) -> None:
-        """Ingest a record array through the vectorized batch path.
+        """Ingest a record array in blocks of ``batch_size``.
 
-        Records are processed in blocks of ``batch_size`` via
-        :meth:`ingest_block`.  ``batch_size=1`` is contractually
-        *bit-identical* to the sequential :meth:`add` loop — groups,
-        centroids, generator position, and journal output all match
-        byte for byte (mirroring the ``n_shards=1`` determinism
-        contract of ``repro.parallel``).  Any fixed ``batch_size`` is
-        deterministic across runs and conserves the absorbed moment
-        mass exactly (per-group sums are single
+        Each block goes through :meth:`ingest_block`, so
+        ``batch_size=1`` is record-at-a-time :meth:`add`.  Any fixed
+        ``batch_size`` is deterministic across runs and conserves the
+        absorbed moment mass exactly (per-group sums are single
         :meth:`~repro.core.statistics.GroupStatistics.add_batch`
         reductions).
 
@@ -300,8 +214,7 @@ class DynamicGroupMaintainer:
         records:
             Record array of shape ``(m, d)``.
         batch_size:
-            Block size for the vectorized assignment; ``1`` delegates
-            to the sequential loop.
+            Block size for the vectorized assignment.
         """
         records = np.asarray(records, dtype=float)
         if records.ndim != 2:
@@ -312,9 +225,6 @@ class DynamicGroupMaintainer:
             raise ValueError(
                 f"batch_size must be >= 1, got {batch_size}"
             )
-        if batch_size == 1:
-            self.add_stream(records)
-            return
         with telemetry.span("dynamic.ingest_many") as ingest_span:
             for start in range(0, records.shape[0], batch_size):
                 self.ingest_block(records[start:start + batch_size])
@@ -324,7 +234,9 @@ class DynamicGroupMaintainer:
     def ingest_block(self, block) -> None:
         """Absorb one block of records with a single distance matrix.
 
-        The block is assigned to nearest groups against a *frozen*
+        The only place records join groups.  On a cold start, rows are
+        only buffered until ``k`` have arrived and the founding group
+        forms.  The rest of the block is assigned to nearest groups against a *frozen*
         centroid snapshot, each targeted group absorbs its rows with
         one batch-sum update (capped at the ``2k`` band ceiling), and
         groups that reach ``2k`` split.  Rows beyond a group's capacity
@@ -337,8 +249,8 @@ class DynamicGroupMaintainer:
 
         Journaling emits one ``absorb`` sub-operation per touched group
         (carrying the post-state aggregates and the absorbed count) and
-        the usual ``split`` sub-operations, so durable condensers can
-        log a whole block as one WAL entry.
+        one ``split`` sub-operation per split, so durable condensers
+        can log a whole block as one WAL entry.
         """
         block = np.asarray(block, dtype=float)
         if block.ndim != 2:
@@ -349,12 +261,7 @@ class DynamicGroupMaintainer:
             return
         if not np.isfinite(block).all():
             raise ValueError("records contain NaN or infinite values")
-        consumed = 0
-        # Warm-up routes record-at-a-time until a founding group exists.
-        while consumed < block.shape[0] and not self._groups:
-            self.add(block[consumed])
-            consumed += 1
-        pending = block[consumed:]
+        pending = self._warm_up(block) if not self._groups else block
         if not pending.shape[0]:
             return
         if pending.shape[1] != self._groups[0].n_features:
@@ -371,10 +278,7 @@ class DynamicGroupMaintainer:
                 telemetry.counter_inc(
                     "ingest.redispatched", pending.shape[0]
                 )
-            distances = pairwise_distances(
-                pending, self._centroids, squared=True
-            )
-            targets = np.argmin(distances, axis=1)
+            targets = self._nearest(pending)
             order = np.argsort(targets, kind="stable")
             rows = pending[order]
             targets = targets[order]
@@ -390,44 +294,28 @@ class DynamicGroupMaintainer:
                 take = rows[lo:lo + min(hi - lo, capacity)]
                 if hi - lo > capacity:
                     leftover.append(rows[lo + capacity:hi])
-                hint = group._eigen_hint
-                pre_first = (
-                    group.first_order.copy() if hint is not None else None
-                )
-                pre_count = group.count
                 group.add_batch(take)
                 self.n_absorbed += take.shape[0]
-                if group.count >= 2 * self.k:
-                    eigen = self._advance_eigen_hint(
-                        hint, pre_first, pre_count, take, group
-                    )
-                    first, second = split_group_statistics(
-                        group, k=self.k, eigen=eigen
-                    )
+                if group.count < 2 * self.k:
+                    self._centroids[target] = group.centroid
+                    self._emit({"op": "absorb", "target": target,
+                                "group": group.to_dict(),
+                                "n": int(take.shape[0])})
+                    continue
+                with telemetry.span("dynamic.split") as split_span:
+                    split_span.set_attribute("group_size", group.count)
+                    first, second = split_group_statistics(group, k=self.k)
                     self._groups[target] = first
                     self._groups.append(second)
                     self.n_splits += 1
                     self._centroids[target] = first.centroid
                     appended.append(second.centroid)
-                    self._index.mark_dirty(target)
-                    telemetry.counter_inc("dynamic.splits")
-                    self._emit({"op": "split", "target": target,
-                                "first": first.to_dict(),
-                                "second": second.to_dict(),
-                                "absorbed": int(take.shape[0])})
-                else:
-                    # Keep the eigen hint alive across absorbs so the
-                    # eventual split can take the rank-one fast path.
-                    advanced = self._advance_eigen_hint(
-                        hint, pre_first, pre_count, take, group
-                    )
-                    if advanced is not None:
-                        group._eigen_hint = advanced
-                    self._centroids[target] = group.centroid
-                    self._index.mark_dirty(target)
-                    self._emit({"op": "absorb", "target": target,
-                                "group": group.to_dict(),
-                                "n": int(take.shape[0])})
+                    split_span.set_attribute("n_groups", len(self._groups))
+                telemetry.counter_inc("dynamic.splits")
+                self._emit({"op": "split", "target": target,
+                            "first": first.to_dict(),
+                            "second": second.to_dict(),
+                            "absorbed": int(take.shape[0])})
             if appended:
                 self._centroids = np.vstack([self._centroids] + appended)
             remainder = (
@@ -443,41 +331,43 @@ class DynamicGroupMaintainer:
             "ingest.rounds", rounds, buckets=DEFAULT_SIZE_BUCKETS
         )
 
-    def _advance_eigen_hint(self, hint, pre_first, pre_count, take,
-                            group):
-        """Advance a pre-absorb eigen hint across absorbed rows.
+    def _warm_up(self, block: np.ndarray) -> np.ndarray:
+        """Buffer rows until ``k`` have arrived, then found the first group.
 
-        Returns the post-absorb covariance eigensystem when the
-        rank-one chain is worthwhile (wide data, update rank below the
-        dimension) and stays within tolerance — otherwise ``None``, and
-        the caller's :func:`split_group_statistics` takes the exact
-        ``sorted_eigh`` path.
+        Rows are checked against the width of the first buffered row
+        before any is kept.  Returns the rows left after the founding
+        group formed (none while the buffer is still short of ``k``).
         """
-        if hint is None:
-            return None
-        d = int(pre_first.shape[0])
-        if d < self.eigen_update_min_dim or take.shape[0] >= d:
-            return None
-        eigenvalues, eigenvectors = hint
-        mean = pre_first / pre_count
-        count = pre_count
-        try:
-            for row in take:
-                eigenvalues, eigenvectors = absorbed_record_eigh_update(
-                    eigenvalues, eigenvectors, mean, count, row
-                )
-                mean = (mean * count + row) / (count + 1)
-                count += 1
-        except EigenUpdateError:
-            telemetry.counter_inc("ingest.eigen_fallbacks")
-            return None
-        trace = float(np.trace(group.covariance))
-        drift = abs(float(eigenvalues.sum()) - trace)
-        if drift > EIGEN_UPDATE_TRACE_RTOL * max(abs(trace), 1.0):
-            telemetry.counter_inc("ingest.eigen_fallbacks")
-            return None
-        telemetry.counter_inc("ingest.eigen_updates")
-        return np.clip(eigenvalues, 0.0, None), eigenvectors
+        if self._warmup and block.shape[1] != self._warmup[0].shape[0]:
+            raise ValueError(
+                f"expected {self._warmup[0].shape[0]} attributes, "
+                f"got {block.shape[1]}"
+            )
+        taken = min(self.k - len(self._warmup), block.shape[0])
+        for row in block[:taken]:
+            # Trusted-side warm-up: the first k records are buffered
+            # only until the founding group's (Fs, Sc, n) exist, then
+            # cleared below.
+            # repro-lint: disable-next=PRIV-001 -- transient warm-up
+            self._warmup.append(row.copy())
+        if len(self._warmup) < self.k:
+            return block[:0]
+        founding = GroupStatistics.from_records(np.vstack(self._warmup))
+        self._groups.append(founding)
+        self._warmup.clear()
+        self.n_absorbed += self.k
+        self._refresh_centroids()
+        telemetry.counter_inc("dynamic.absorbed", self.k)
+        telemetry.gauge_set("dynamic.groups", 1)
+        self._emit({"op": "founding", "group": founding.to_dict()})
+        return block[taken:]
+
+    def _nearest(self, records: np.ndarray) -> np.ndarray:
+        """Group id of the nearest centroid per row; ties go low."""
+        return np.argmin(
+            pairwise_distances(records, self._centroids, squared=True),
+            axis=1,
+        )
 
     def remove(self, record: np.ndarray) -> None:
         """Process a deletion request (an extension of the paper's §3).
@@ -508,7 +398,7 @@ class DynamicGroupMaintainer:
                 f"expected {self._groups[0].n_features} attributes, "
                 f"got {record.shape[0]}"
             )
-        target = self._index.nearest(record, self._centroids)
+        target = int(self._nearest(record[None, :])[0])
         group = self._groups[target]
         if len(self._groups) == 1 and group.count <= 1:
             raise ValueError(
@@ -523,7 +413,6 @@ class DynamicGroupMaintainer:
         if group.count >= self.k or len(self._groups) == 1:
             if group.count > 0:
                 self._centroids[target] = group.centroid
-                self._index.mark_dirty(target)
                 self._emit({"op": "remove", "target": target,
                             "group": group.to_dict()})
                 return
@@ -533,9 +422,6 @@ class DynamicGroupMaintainer:
         """Merge group ``target`` into its nearest neighbour group."""
         group = self._groups.pop(target)
         self._refresh_centroids()
-        # Popping renumbers every later group id; the snapshot cannot
-        # be patched, so the centroid index starts over.
-        self._index.invalidate()
         if group.count == 0:
             self.n_merges += 1
             telemetry.counter_inc("dynamic.merges")
@@ -544,10 +430,7 @@ class DynamicGroupMaintainer:
                         "neighbour": None, "merged": None,
                         "resplit": None})
             return
-        distances = pairwise_distances(
-            group.centroid[None, :], self._centroids, squared=True
-        )[0]
-        neighbour = int(np.argmin(distances))
+        neighbour = int(self._nearest(group.centroid[None, :])[0])
         merged = self._groups[neighbour]
         merged.merge(group)
         self.n_merges += 1
@@ -600,24 +483,21 @@ class DynamicGroupMaintainer:
             self._groups.append(founding)
             self._warmup.clear()
             self.n_absorbed += founding.count
-        elif op == "ingest":
+        elif op in ("absorb", "ingest"):
+            # ``ingest`` is the one-record absorb that record-at-a-time
+            # ingest journaled before 1.11.
             self._groups[sub["target"]] = GroupStatistics.from_dict(
                 sub["group"]
             )
-            self.n_absorbed += 1
-        elif op == "absorb":
-            self._groups[sub["target"]] = GroupStatistics.from_dict(
-                sub["group"]
-            )
-            self.n_absorbed += int(sub["n"])
+            self.n_absorbed += int(sub.get("n", 1))
         elif op == "split":
             self._groups[sub["target"]] = GroupStatistics.from_dict(
                 sub["first"]
             )
             self._groups.append(GroupStatistics.from_dict(sub["second"]))
-            # Sequential splits fold the triggering record's absorb into
-            # the split op; batch splits carry their own absorbed count
-            # (possibly zero when the batch absorb was journaled apart).
+            # A split carries the count absorbed with it; splits
+            # journaled before 1.11 by record-at-a-time ingest omit it
+            # and absorbed exactly the one triggering record.
             self.n_absorbed += int(sub.get("absorbed", 1))
             self.n_splits += 1
         elif op == "remove":
@@ -646,9 +526,6 @@ class DynamicGroupMaintainer:
             raise ValueError(f"unknown journal operation {op!r}")
         if self._groups:
             self._refresh_centroids()
-        # Replay is not a hot path: rebuild the lookup index lazily on
-        # the next query rather than tracking per-op dirtiness.
-        self._index.invalidate()
 
     def state_dict(self) -> dict:
         """Full durable state as a JSON-serializable document.

@@ -54,12 +54,6 @@ class GroupStatistics:
         if self.count < 0:
             raise ValueError(f"count must be non-negative, got {self.count}")
         self.count = int(self.count)
-        # Advisory covariance eigensystem hint ``(eigenvalues,
-        # eigenvectors)`` for the batch split fast path.  It is never
-        # serialized and never consulted by :meth:`eigen_system`; any
-        # mutation of the sums drops it, so a present hint always
-        # matches the current sums.
-        self._eigen_hint = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -116,7 +110,6 @@ class GroupStatistics:
         self.first_order += record
         self.second_order += np.outer(record, record)
         self.count += 1
-        self._eigen_hint = None
 
     def add_batch(self, records: np.ndarray) -> None:
         """Fold a batch of records into the group sums."""
@@ -130,7 +123,6 @@ class GroupStatistics:
         self.first_order += records.sum(axis=0)
         self.second_order += records.T @ records
         self.count += records.shape[0]
-        self._eigen_hint = None
 
     def merge(self, other: "GroupStatistics") -> None:
         """Fold another group's sums into this group (used for leftovers)."""
@@ -142,7 +134,6 @@ class GroupStatistics:
         self.first_order += other.first_order
         self.second_order += other.second_order
         self.count += other.count
-        self._eigen_hint = None
 
     def remove(self, record: np.ndarray) -> None:
         """Subtract one record from the group sums (deletion downdate).
@@ -159,7 +150,6 @@ class GroupStatistics:
         self.first_order -= record
         self.second_order -= np.outer(record, record)
         self.count -= 1
-        self._eigen_hint = None
 
     def ensure_psd(self) -> None:
         """Repair the second-order sums if the covariance went indefinite.
@@ -185,7 +175,6 @@ class GroupStatistics:
         __, self.second_order = sums_from_covariance(
             self.centroid, repaired, self.count
         )
-        self._eigen_hint = None
 
     # ------------------------------------------------------------------
     # Derived quantities

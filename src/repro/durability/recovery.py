@@ -14,14 +14,15 @@ Entry vocabulary
     warm-up; windowed condensers add a ``"window"`` key.
 ``{"kind": "op", "pos": p, "ops": [...]}``
     One completed source operation and the journal sub-operations it
-    produced (``founding`` / ``ingest`` / ``split`` / ``remove`` /
-    ``merge``), applied via
+    produced (``founding`` / ``absorb`` / ``split`` / ``remove`` /
+    ``merge``, and ``ingest`` in logs written before 1.11), applied via
     :meth:`~repro.core.dynamic.DynamicGroupMaintainer.apply_op`.
     A sliding-window push that both adds and expires is one atomic
     ``op`` entry, so recovery can never observe a half-applied push.
 ``{"kind": "batch", "pos": p, "ops": [...]}``
-    One vectorized ingest block (``ingest_block``) and every
-    sub-operation it produced (``absorb`` / ``split``).  Replayed
+    One ingest block (``ingest_block``, one record per block at the
+    default ``batch_size=1``) and every sub-operation it produced
+    (``founding`` / ``absorb`` / ``split``).  Replayed
     exactly like an ``op`` entry; the distinct kind records the block
     boundary, so the position always advances a whole block at a time
     and the at-least-once re-feed resumes on a block edge.

@@ -11,10 +11,6 @@ algorithms rest on:
   raw-sum accumulator mandated by the paper (first-order sums ``Fs`` and
   second-order sums ``Sc``) and a numerically robust Welford accumulator
   used as a cross-check in tests.
-* :mod:`repro.linalg.updates` — rank-one eigendecomposition updates
-  (secular-equation solve) so hot paths can advance a known eigensystem
-  across an absorbed record instead of redecomposing, with a tolerance
-  gate that falls back to the exact path.
 """
 
 from repro.linalg.accumulators import MomentAccumulator, WelfordAccumulator
@@ -35,11 +31,6 @@ from repro.linalg.symmetric import (
     sorted_eigh,
     symmetrize,
 )
-from repro.linalg.updates import (
-    EigenUpdateError,
-    absorbed_record_eigh_update,
-    rank_one_eigh_update,
-)
 
 __all__ = [
     "MomentAccumulator",
@@ -57,7 +48,4 @@ __all__ = [
     "nearest_psd",
     "sorted_eigh",
     "symmetrize",
-    "EigenUpdateError",
-    "absorbed_record_eigh_update",
-    "rank_one_eigh_update",
 ]

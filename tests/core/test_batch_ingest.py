@@ -19,14 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.core.condenser import ClasswiseCondenser, DynamicCondenser
 from repro.core.dynamic import DynamicGroupMaintainer
 from repro.core.statistics import GroupStatistics
 from repro.linalg.rng import rng_state
 from repro.neighbors.knn import KNeighborsClassifier
 from repro.privacy.metrics import privacy_report
-from repro.telemetry import MetricsRegistry
 
 
 def fingerprint(maintainer):
@@ -48,6 +46,25 @@ def wal_bytes(directory):
         path.read_bytes()
         for path in sorted(Path(directory).glob("wal-*.log"))
     )
+
+
+def assert_moments_conserved(maintainer, base, stream):
+    """The groups' summed moments equal those of every ingested row."""
+    everything = np.vstack([base, stream])
+    scale = np.abs(everything).sum() + 1.0
+    total_first = sum(
+        group.first_order for group in maintainer._groups
+    )
+    assert np.abs(
+        total_first - everything.sum(axis=0)
+    ).max() <= 1e-9 * scale
+    total_second = sum(
+        group.second_order for group in maintainer._groups
+    )
+    second_scale = np.abs(everything.T @ everything).max() + 1.0
+    assert np.abs(
+        total_second - everything.T @ everything
+    ).max() <= 1e-9 * second_scale
 
 
 class TestBatchSizeOneBitIdentity:
@@ -109,21 +126,20 @@ class TestBatchMomentConservation:
             9, initial_data=base, random_state=0
         )
         maintainer.ingest_many(stream, batch_size=batch_size)
-        everything = np.vstack([base, stream])
-        scale = np.abs(everything).sum() + 1.0
-        total_first = sum(
-            group.first_order for group in maintainer._groups
+        assert_moments_conserved(maintainer, base, stream)
+
+    def test_moment_mass_is_conserved_on_wide_data(self):
+        # Wide data in blocks of fewer rows than attributes, with
+        # unequal scales so every split has a distinct leading axis.
+        scale = np.diag(1.0 + 0.3 * np.arange(20))
+        base = make_data(20, 500, 20) @ scale
+        stream = make_data(21, 4000, 20) @ scale
+        maintainer = DynamicGroupMaintainer(
+            12, initial_data=base, random_state=0
         )
-        assert np.abs(
-            total_first - everything.sum(axis=0)
-        ).max() <= 1e-9 * scale
-        total_second = sum(
-            group.second_order for group in maintainer._groups
-        )
-        second_scale = np.abs(everything.T @ everything).max() + 1.0
-        assert np.abs(
-            total_second - everything.T @ everything
-        ).max() <= 1e-9 * second_scale
+        maintainer.ingest_many(stream, batch_size=8)
+        assert maintainer.n_splits > 0
+        assert_moments_conserved(maintainer, base, stream)
 
     @pytest.mark.parametrize("batch_size", [2, 16, 256, 2000])
     def test_privacy_band_and_achieved_k(self, batch_size):
@@ -181,54 +197,6 @@ class TestBatchDownstreamUtility:
         assert abs(
             accuracies["batched"] - accuracies["sequential"]
         ) <= 0.10
-
-
-class TestEigenFastPathWiring:
-    def test_wide_data_takes_the_rank_one_path(self):
-        # d=20 >= EIGEN_UPDATE_MIN_DIM and small blocks keep the update
-        # rank below the dimension, so split eigensystems come from the
-        # rank-one chain; moment conservation must be unaffected.
-        registry = MetricsRegistry()
-        telemetry.configure(registry=registry)
-        try:
-            scale = np.diag(1.0 + 0.3 * np.arange(20))
-            base = make_data(20, 500, 20) @ scale
-            stream = make_data(21, 4000, 20) @ scale
-            maintainer = DynamicGroupMaintainer(
-                12, initial_data=base, random_state=0
-            )
-            maintainer.ingest_many(stream, batch_size=8)
-        finally:
-            telemetry.disable()
-        counters = {
-            metric.name: metric
-            for metric in registry.metrics()
-        }
-        assert counters["ingest.eigen_updates"].value() > 0
-        everything = np.vstack([base, stream])
-        total_first = sum(
-            group.first_order for group in maintainer._groups
-        )
-        mass_scale = np.abs(everything).sum() + 1.0
-        assert np.abs(
-            total_first - everything.sum(axis=0)
-        ).max() <= 1e-9 * mass_scale
-
-    def test_narrow_data_never_attempts_the_update(self):
-        # Below the dimension gate the chain is never entered, so
-        # neither the update nor the fallback counter moves.
-        registry = MetricsRegistry()
-        telemetry.configure(registry=registry)
-        try:
-            maintainer = DynamicGroupMaintainer(
-                8, initial_data=make_data(22, 200, 4), random_state=0
-            )
-            maintainer.ingest_many(make_data(23, 1500, 4), batch_size=32)
-        finally:
-            telemetry.disable()
-        names = {metric.name for metric in registry.metrics()}
-        assert "ingest.eigen_updates" not in names
-        assert "ingest.eigen_fallbacks" not in names
 
 
 class TestBatchValidation:
@@ -299,32 +267,31 @@ def lattice_maintainer(k, centres):
 
 
 class TestTieBreakRule:
-    """A 1-row block and ``add`` pick the same group; ties go low."""
+    """A record joins the brute nearest group; exact ties go low."""
 
-    def test_one_row_block_matches_add_on_a_churned_maintainer(self):
+    def test_one_row_block_matches_brute_argmin(self):
+        # A churned maintainer: many groups, splits behind it.
         base = DynamicGroupMaintainer(
             4, initial_data=make_data(40, 200, 3), random_state=1
         )
         base.add_stream(make_data(41, 1500, 3))
         assert base.n_groups > 64 and base.n_splits > 0
         for record in make_data(42, 300, 3):
-            blocked = copy.deepcopy(base)
-            assert journaled_target(blocked, record, "block") == \
-                journaled_target(base, record, "add")
+            distances = ((base._centroids - record) ** 2).sum(axis=1)
+            expected = int(np.argmin(distances))
+            assert journaled_target(base, record, "block") == expected
 
     @pytest.mark.parametrize("n_far", [1, 70])
     def test_exact_ties_pick_the_lower_group_id(self, n_far):
-        # Far groups pad the population past the k-d tree threshold
-        # (n_far=70) or keep it on the brute scan (n_far=1); the tied
-        # groups sit after them, so the lowest tied id is not 0.
+        # Far groups sit before the tied ones, so the lowest tied id is
+        # not 0; n_far=70 takes the population past 64 groups.
         far = [(60 + i, 60 + i % 7) for i in range(n_far)]
         centres = far[: n_far // 2] + TIED_CENTRES + far[n_far // 2:]
         lowest = n_far // 2
         base = lattice_maintainer(3, centres)
         origin = np.zeros(2)
-        # Absorbing a record equal to a centroid keeps it in place but
-        # moves it to the index's dirty overlay, so later queries mix
-        # tree and overlay candidates among the tied groups.
+        # Absorbing a record equal to a centroid keeps it in place, so
+        # the ties survive each absorb.
         for step in [None, lowest, lowest + 5, lowest + 11]:
             if step is not None:
                 base.add(np.asarray(centres[step], dtype=float))

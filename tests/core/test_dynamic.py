@@ -211,6 +211,27 @@ class TestDynamicGroupMaintainer:
         assert maintainer.n_groups == 1
         assert maintainer.n_pending == 0
 
+    def test_cold_start_rejects_non_finite_records(self):
+        maintainer = DynamicGroupMaintainer(k=2, random_state=0)
+        with pytest.raises(ValueError, match="NaN"):
+            maintainer.add(np.array([np.nan, 0.0]))
+        assert maintainer.n_pending == 0
+        maintainer.add(np.array([1.0, 2.0]))
+        maintainer.add(np.array([3.0, 4.0]))
+        (founding,) = maintainer.to_model().groups
+        np.testing.assert_array_equal(founding.first_order, [4.0, 6.0])
+
+    def test_cold_start_rejects_a_record_of_another_width(self):
+        maintainer = DynamicGroupMaintainer(k=3, random_state=0)
+        maintainer.add(np.zeros(2))
+        with pytest.raises(ValueError, match="expected 2 attributes"):
+            maintainer.add(np.zeros(3))
+        with pytest.raises(ValueError, match="expected 2 attributes"):
+            maintainer.ingest_block(np.zeros((4, 3)))
+        assert maintainer.n_pending == 1
+        maintainer.ingest_block(np.ones((2, 2)))
+        assert maintainer.n_groups == 1 and maintainer.n_pending == 0
+
     def test_cold_start_model_before_k_rejected(self, rng):
         maintainer = DynamicGroupMaintainer(k=10, random_state=0)
         maintainer.add(rng.normal(size=3))

@@ -4,14 +4,13 @@ The maintained centroid index is a pure accelerator: at every point of
 a churning ingest/split/merge/remove workload its ``nearest`` answer
 must equal the brute-force argmin (lowest id on ties), including right
 after a lazy rebuild and right after an invalidation.  The tests drive
-both the index directly (synthetic churn against a mutable centroid
-matrix) and the full maintainer (real splits and merges).
+the index directly, with synthetic churn against a mutable centroid
+matrix.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.dynamic import DynamicGroupMaintainer
 from repro.neighbors.brute import pairwise_distances
 from repro.neighbors.centroids import CentroidIndex
 from repro.neighbors.kdtree import KDTreeIndex
@@ -125,41 +124,3 @@ class TestSyntheticChurn:
             CentroidIndex(min_index_size=1)
         with pytest.raises(ValueError, match="staleness"):
             CentroidIndex(staleness=0.0)
-
-
-class TestMaintainerChurn:
-    def test_maintainer_routing_matches_brute_under_churn(self):
-        # Real workload: enough groups that the tree engages, with
-        # ingestion (dirty marks), splits (appends), and removes that
-        # trigger merges (invalidations).  The maintainer consults the
-        # index for every routing decision, so checking its answer
-        # against brute before each operation covers the full lifecycle.
-        rng = np.random.default_rng(9)
-        maintainer = DynamicGroupMaintainer(
-            6, initial_data=rng.normal(size=(900, 3)), random_state=0
-        )
-        assert maintainer.n_groups >= 64
-        for step in range(600):
-            record = rng.normal(size=3)
-            expected = brute_nearest(record, maintainer._centroids)
-            assert maintainer._index.nearest(
-                record, maintainer._centroids
-            ) == expected, step
-            if step % 5 == 4:
-                maintainer.remove(rng.normal(size=3))
-            else:
-                maintainer.add(record)
-        sizes = maintainer.group_sizes()
-        assert (sizes >= 6).all() and (sizes < 12).all()
-
-    def test_batch_ingest_keeps_index_consistent(self):
-        rng = np.random.default_rng(10)
-        maintainer = DynamicGroupMaintainer(
-            6, initial_data=rng.normal(size=(900, 3)), random_state=0
-        )
-        for __ in range(20):
-            maintainer.ingest_block(rng.normal(size=(64, 3)))
-            record = rng.normal(size=3)
-            assert maintainer._index.nearest(
-                record, maintainer._centroids
-            ) == brute_nearest(record, maintainer._centroids)

@@ -3,8 +3,10 @@
 Each shard condenses its slice of a request with one ``ingest_block``
 call, journals it as one ``batch`` WAL entry, and, at the default
 ``fsync_every=1``, fsyncs once before the request is acknowledged.
-Shard directories written by the older record-at-a-time path (``op``
-entries) must still recover under the block-path service.
+Shard directories written by the record-at-a-time path of releases
+before 1.11 (``op`` entries, written here by the oracle in
+``tests/core/test_one_ingest_path.py``) must still recover under the
+block-path service.
 """
 
 import os
@@ -18,6 +20,7 @@ from repro.durability import inspect_frames
 from repro.linalg.rng import check_random_state
 from repro.serve import ShardedCondensationService
 from repro.serve.service import MAX_BLOCK_ROWS, shard_directory
+from tests.core.test_one_ingest_path import legacy_partial_fit
 
 N_SHARDS = 3
 K = 4
@@ -131,9 +134,8 @@ class TestRecordAtATimeDirectoriesRecover:
         rng = check_random_state(9)
         old = DynamicCondenser(
             K, random_state=9, wal_dir=shard_directory(root, 0),
-            batch_size=1,
         ).fit()
-        old.partial_fit(rng.normal(size=(300, 3)))
+        legacy_partial_fit(old, rng.normal(size=(300, 3)))
         old.close()
         kinds = {frame["kind"] for frame in _frames(root, 0)}
         assert "op" in kinds and "batch" not in kinds
@@ -156,7 +158,7 @@ class TestRecordAtATimeDirectoriesRecover:
         old = DynamicCondenser(
             K, random_state=4, wal_dir=shard_directory(root, 0),
         ).fit()
-        old.partial_fit(rng.normal(size=(120, 3)))
+        legacy_partial_fit(old, rng.normal(size=(120, 3)))
         old.close()
         with ShardedCondensationService.open(
             root, 1, K, bootstrap_size=8,
