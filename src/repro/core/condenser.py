@@ -445,6 +445,19 @@ class DynamicCondenser:
         return self._require_fitted().to_model()
 
     @property
+    def live_groups(self) -> tuple:
+        """The maintained groups without a :attr:`model_` snapshot copy.
+
+        See :attr:`DynamicGroupMaintainer.live_groups`: read them only
+        while nothing else can ingest into this condenser.
+
+        Returns
+        -------
+        tuple of GroupStatistics
+        """
+        return self._require_fitted().live_groups
+
+    @property
     def n_groups(self) -> int:
         """Number of currently maintained groups."""
         return self._require_fitted().n_groups

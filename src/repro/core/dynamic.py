@@ -594,6 +594,22 @@ class DynamicGroupMaintainer:
         """Per-group record counts."""
         return np.array([group.count for group in self._groups])
 
+    @property
+    def live_groups(self) -> tuple:
+        """The maintained group statistics themselves, in group order.
+
+        Unlike :meth:`to_model` this copies no statistics (and records
+        no ``dynamic.group_size`` observations): the tuple holds the
+        objects that further ingestion mutates in place.  Callers must
+        only read them, and only while no ingestion can run.
+
+        Returns
+        -------
+        tuple of GroupStatistics
+            Empty while the maintainer is still warming up.
+        """
+        return tuple(self._groups)
+
     def to_model(self) -> CondensedModel:
         """Snapshot the maintained statistics as a condensed model.
 

@@ -250,7 +250,9 @@ class AnonymizationRequestHandler(BaseHTTPRequestHandler):
 
     def _handle_model(self, query) -> None:
         """``GET /model`` — the statistics-only model document."""
-        self._send_json(200, self.server.service.model())
+        self._send_bytes(
+            200, self.server.service.model(), "application/json"
+        )
 
     def _handle_healthz(self, query) -> None:
         """``GET /healthz`` — liveness and readiness scalars."""

@@ -188,6 +188,10 @@ class ShardedCondensationService:
         self._n_features: int | None = None
         self.recovered_shards = 0
         self._sequences = spawn_seed_sequences(random_state, self.n_shards)
+        #: Per shard, the encoded group chunks of the last :meth:`model`
+        #: render keyed by exact statistics bytes (guarded by the shard
+        #: lock).
+        self._model_chunks: list[dict] = [{} for _ in range(self.n_shards)]
         with telemetry.span("serve.open") as open_span:
             self._shards = [
                 self._open_shard(shard_id)
@@ -482,57 +486,78 @@ class ShardedCondensationService:
             telemetry.counter_inc("serve.generated", int(n_records))
             return generated
 
-    def model(self) -> dict:
+    def model(self) -> bytes:
         """Statistics-only snapshot of every shard's condensed model.
 
         Returns
         -------
-        dict
-            ``k``, ``n_shards``, ``bootstrapped``, ``position``,
-            ``n_groups``, ``total_count``, and per-shard documents
-            (each the shard's
-            :meth:`~repro.core.statistics.CondensedModel.to_dict`
-            groups plus its stream position).  Deterministically
-            ordered, so two services with identical durable state
-            render byte-identical JSON.  Each shard document is an
-            internally consistent snapshot (taken under that shard's
-            lock); under concurrent ingest the documents may reflect
-            slightly different stream moments across shards.
+        bytes
+            UTF-8 JSON, byte for byte ``json.dumps(document,
+            sort_keys=True)`` of a document holding ``k``, ``n_shards``,
+            ``bootstrapped``, ``position``, ``n_groups``,
+            ``total_count``, and per-shard documents (each the shard's
+            :meth:`~repro.core.statistics.GroupStatistics.to_dict`
+            groups plus its stream position and totals).  Two services
+            with identical durable state render identical bytes.  Each
+            shard document is an internally consistent snapshot (taken
+            under that shard's lock); under concurrent ingest the
+            documents may reflect slightly different stream moments
+            across shards.
+
+        Notes
+        -----
+        A group is encoded only when its exact ``(count, Fs, Sc)``
+        bytes were not in the shard's previous render; each render
+        keeps just the chunks it used, so the cache never outgrows the
+        live groups.
         """
         with self._lock:
             bootstrapped = self._router.fitted
         shards = []
+        totals = {"n_groups": 0, "position": 0, "total_count": 0}
         for shard_id in range(self.n_shards):
             with self._shard_locks[shard_id]:
                 shard = self._shards[shard_id]
-                if shard.n_groups:
-                    groups = [
-                        group.to_dict()
-                        for group in shard.model_.groups
-                    ]
-                else:
-                    # Warming up: fewer than k records routed here yet.
-                    groups = []
-                shards.append({
+                groups = shard.live_groups
+                framing = {
                     "shard": shard_id,
                     "position": shard.position,
                     "n_groups": len(groups),
-                    "total_count": sum(
-                        entry["count"] for entry in groups
-                    ),
-                    "groups": groups,
-                })
-        return {
+                    "total_count": sum(group.count for group in groups),
+                }
+                chunks = self._group_chunks(shard_id, groups)
+            for name in totals:
+                totals[name] += framing[name]
+            shards.append(_encode_framed(framing, "groups", chunks))
+        return _encode_framed({
             "k": self.k,
             "n_shards": self.n_shards,
             "bootstrapped": bootstrapped,
-            "position": sum(entry["position"] for entry in shards),
-            "n_groups": sum(entry["n_groups"] for entry in shards),
-            "total_count": sum(
-                entry["total_count"] for entry in shards
-            ),
-            "shards": shards,
-        }
+            **totals,
+        }, "shards", shards)
+
+    def _group_chunks(self, shard_id: int, groups) -> list:
+        """JSON chunks of one shard's groups, reusing the last render's.
+
+        The caller holds the shard's lock.  Equal statistics bytes give
+        an equal float ``repr``, so a cached chunk is exactly what
+        encoding the group again would produce.
+        """
+        previous = self._model_chunks[shard_id]
+        current = {}
+        chunks = []
+        for group in groups:
+            key = (group.count, group.first_order.tobytes(),
+                   group.second_order.tobytes())
+            chunk = previous.get(key)
+            if chunk is None:
+                chunk = json.dumps(
+                    group.to_dict(), sort_keys=True
+                ).encode("utf-8")
+            current[key] = chunk
+            chunks.append(chunk)
+        self._model_chunks[shard_id] = current
+        return chunks
 
     def status(self) -> dict:
         """Liveness / readiness summary for ``/healthz``.
@@ -583,11 +608,14 @@ class ShardedCondensationService:
         return sum(shard.n_groups for shard in self._shards)
 
     def _combined_model(self) -> CondensedModel:
-        """One model over every shard's groups (generation input)."""
+        """One model over every shard's live groups (generation input).
+
+        The caller holds every shard lock, so the groups cannot change
+        while the model is in use and need no snapshot copy.
+        """
         groups = []
         for shard in self._shards:
-            if shard.n_groups:
-                groups.extend(shard.model_.groups)
+            groups.extend(shard.live_groups)
         if not groups:
             raise NotReadyError(
                 "no condensed groups yet; ingest at least "
@@ -703,6 +731,33 @@ class ShardedCondensationService:
             f"ShardedCondensationService(n_shards={self.n_shards}, "
             f"k={self.k}, position={self.position})"
         )
+
+
+def _encode_framed(scalars: dict, key: str, items: list) -> bytes:
+    """``json.dumps({**scalars, key: items}, sort_keys=True)``, as bytes.
+
+    Parameters
+    ----------
+    scalars:
+        The document's other members; JSON scalars only, so the
+        placeholder ``"key": []`` appears exactly once in their dump.
+    key:
+        Name of the list member.
+    items:
+        The list's elements, each already encoded as UTF-8 JSON.
+
+    Returns
+    -------
+    bytes
+    """
+    head, placeholder, tail = json.dumps(
+        {**scalars, key: []}, sort_keys=True
+    ).partition(f'"{key}": []')
+    return b"".join((
+        (head + placeholder[:-1]).encode("utf-8"),
+        b", ".join(items),
+        ("]" + tail).encode("utf-8"),
+    ))
 
 
 def _proportional_sizes(group_sizes: np.ndarray, total: int) -> list:

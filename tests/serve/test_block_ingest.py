@@ -9,6 +9,7 @@ before 1.11 (``op`` entries, written here by the oracle in
 block-path service.
 """
 
+import json
 import os
 
 import numpy as np
@@ -62,7 +63,8 @@ class TestOneRequestOneEntryPerShard:
         request = rng.normal(size=(256, 3))
         before = [_frames(root, shard) for shard in range(N_SHARDS)]
         positions = [
-            entry["position"] for entry in service.model()["shards"]
+            entry["position"]
+            for entry in json.loads(service.model())["shards"]
         ]
         synced = []
         real_fsync = wal_module.os.fsync
@@ -77,7 +79,8 @@ class TestOneRequestOneEntryPerShard:
         monkeypatch.setattr(wal_module.os, "fsync", real_fsync)
 
         touched = [
-            shard for shard, entry in enumerate(service.model()["shards"])
+            shard for shard, entry
+            in enumerate(json.loads(service.model())["shards"])
             if entry["position"] != positions[shard]
         ]
         assert len(touched) > 1, "request routed to a single shard"
@@ -97,7 +100,7 @@ class TestOneRequestOneEntryPerShard:
         service, __, rng, warmup = bootstrapped
         request = rng.normal(size=(512, 3))
         service.ingest(request)
-        document = service.model()
+        document = json.loads(service.model())
         groups = [
             group for entry in document["shards"]
             for group in entry["groups"]
@@ -144,7 +147,7 @@ class TestRecordAtATimeDirectoriesRecover:
         service = ShardedCondensationService.open(root, 1, K)
         try:
             assert service.recovered_shards == 1
-            shard = service.model()["shards"][0]
+            shard = json.loads(service.model())["shards"][0]
             assert shard["groups"] == expected
             assert shard["position"] == old.position
         finally:
@@ -164,10 +167,10 @@ class TestRecordAtATimeDirectoriesRecover:
             root, 1, K, bootstrap_size=8,
         ) as service:
             service.ingest(rng.normal(size=(200, 3)))
-            document = service.model()
+            document = json.loads(service.model())
         kinds = [frame["kind"] for frame in _frames(root, 0)]
         assert "op" in kinds and "batch" in kinds
         with ShardedCondensationService.open(
             root, 1, K, bootstrap_size=8,
         ) as reopened:
-            assert reopened.model() == document
+            assert json.loads(reopened.model()) == document

@@ -9,6 +9,7 @@ ingest — plus multi-writer totals and the close-during-traffic 409
 path.
 """
 
+import json
 import threading
 
 import numpy as np
@@ -27,7 +28,7 @@ def _bootstrapped(tmp_path, n_shards=2, seed=11):
     )
     rng = check_random_state(seed)
     service.ingest(rng.normal(size=(96, 3)))
-    assert service.model()["bootstrapped"]
+    assert json.loads(service.model())["bootstrapped"]
     return service, rng
 
 
@@ -110,7 +111,7 @@ class TestConcurrentIngest:
             for worker in workers:
                 worker.join(WAIT)
             assert service.position == start + 8 * 16
-            model = service.model()
+            model = json.loads(service.model())
             assert model["total_count"] == service.position
         finally:
             service.close()

@@ -100,9 +100,7 @@ class TestEndpoints:
         _call(server, "/ingest", body={"records": _records(30)})
         status, document = _call(server, "/model")
         assert status == 200
-        assert document == json.loads(
-            json.dumps(server.service.model(), sort_keys=True)
-        )
+        assert document == json.loads(server.service.model())
 
     def test_metrics_exposition(self, server):
         previous = telemetry.get_pipeline()

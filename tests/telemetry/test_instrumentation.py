@@ -10,6 +10,7 @@ from repro.core.generation import generate_anonymized_data
 from repro.neighbors.brute import BruteForceIndex
 from repro.neighbors.kdtree import KDTreeIndex
 from repro.neighbors.lsh import LSHIndex
+from repro.serve import ShardedCondensationService
 from repro.telemetry import NULL_PIPELINE, NULL_SPAN
 
 
@@ -113,6 +114,17 @@ class TestDynamicMetrics:
         model = maintainer.to_model()
         histogram = pipeline.registry.histogram("dynamic.group_size")
         assert histogram.count() == model.n_groups
+
+    def test_service_reads_take_no_snapshot(self):
+        pipeline = telemetry.configure()
+        service = ShardedCondensationService(
+            n_shards=2, k=5, bootstrap_size=20, random_state=0
+        )
+        service.ingest(make_data(200))
+        service.model()
+        service.generate(10)
+        histogram = pipeline.registry.histogram("dynamic.group_size")
+        assert histogram.count() == 0
 
 
 class TestGenerationMetrics:
