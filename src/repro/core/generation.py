@@ -33,27 +33,52 @@ from repro.linalg.rng import check_random_state
 from repro.telemetry import DEFAULT_SIZE_BUCKETS
 
 #: Groups whose eigen-systems :func:`generate_anonymized_data` computes
-#: in one stacked ``eigh`` call; bounds the stack's memory.
+#: in one stacked ``eigh`` call and whose records it draws in one
+#: sampler call; bounds the block's memory.
 _GENERATION_BLOCK = 256
 
 
-def _uniform_axis_sampler(rng, eigenvalues: np.ndarray, size: int):
-    """Unit-variance-λ uniform coordinates, shape ``(size, d)``."""
+def _uniform_block_sampler(rng, eigenvalues: np.ndarray, sizes):
+    """Uniform coordinates with per-axis variance λ for a block of groups.
+
+    ``eigenvalues`` has one row per group, shape ``(g, d)``; group ``i``
+    gets ``sizes[i]`` consecutive rows of the ``(sum(sizes), d)``
+    result.  A uniform over a range ``a`` has variance ``a² / 12``, so
+    each row is scaled by its group's half range ``sqrt(12 λ) / 2``.
+    """
     half_range = np.sqrt(12.0 * eigenvalues) / 2.0
-    return rng.uniform(-1.0, 1.0, size=(size, eigenvalues.shape[0])) * (
-        half_range[None, :]
+    coordinates = rng.uniform(
+        -1.0, 1.0, size=(int(np.sum(sizes)), eigenvalues.shape[1])
     )
+    coordinates *= np.repeat(half_range, sizes, axis=0)
+    return coordinates
 
 
-def _gaussian_axis_sampler(rng, eigenvalues: np.ndarray, size: int):
-    """Gaussian coordinates with per-axis variance λ."""
+def _gaussian_block_sampler(rng, eigenvalues: np.ndarray, sizes):
+    """Gaussian coordinates with per-axis variance λ for a block of groups."""
     stddev = np.sqrt(eigenvalues)
-    return rng.standard_normal((size, eigenvalues.shape[0])) * stddev[None, :]
+    coordinates = rng.standard_normal(
+        (int(np.sum(sizes)), eigenvalues.shape[1])
+    )
+    coordinates *= np.repeat(stddev, sizes, axis=0)
+    return coordinates
 
+
+def _one_group(block_sampler):
+    """The per-group sampler that is ``block_sampler`` on a block of one."""
+    def sampler(rng, eigenvalues: np.ndarray, size: int):
+        return block_sampler(rng, eigenvalues[None, :], [size])
+    return sampler
+
+
+_BLOCK_SAMPLERS = {
+    "uniform": _uniform_block_sampler,
+    "gaussian": _gaussian_block_sampler,
+}
 
 _SAMPLERS = {
-    "uniform": _uniform_axis_sampler,
-    "gaussian": _gaussian_axis_sampler,
+    name: _one_group(block_sampler)
+    for name, block_sampler in _BLOCK_SAMPLERS.items()
 }
 
 
@@ -98,6 +123,54 @@ def resolve_sampler(sampler):
     )
 
 
+def _block_sampler(sampler):
+    """Resolve ``sampler`` into a block sampler.
+
+    A block sampler has signature ``(rng, eigenvalues, sizes)``, takes
+    one eigenvalue row per group and returns the ``(sum(sizes), d)``
+    coordinates of the whole block, group after group.  A built-in
+    sampler draws the block in one call; a custom callable is called
+    once per group, in order, with that group's ``(eigenvalues, size)``.
+    """
+    sampler = resolve_sampler(sampler)
+    for name, one_group in _SAMPLERS.items():
+        if sampler is one_group:
+            return _BLOCK_SAMPLERS[name]
+
+    def per_group(rng, eigenvalues, sizes):
+        parts = []
+        for values, size in zip(eigenvalues, sizes):
+            coordinates = np.asarray(sampler(rng, values, size), dtype=float)
+            if coordinates.shape != (size, values.shape[0]):
+                raise ValueError(
+                    "sampler returned wrong shape: expected "
+                    f"{(size, values.shape[0])}, got {coordinates.shape}"
+                )
+            parts.append(coordinates)
+        return np.concatenate(parts)
+
+    return per_group
+
+
+def _check_size(size, name: str) -> int:
+    """``size`` as an ``int``, if it is a non-negative integer.
+
+    Raises
+    ------
+    ValueError
+        Naming ``name``, if it is not; a ``bool`` is not a count.
+    """
+    if (
+        isinstance(size, bool)
+        or not isinstance(size, (int, np.integer))
+        or size < 0
+    ):
+        raise ValueError(
+            f"{name} must be a non-negative integer, got {size!r}"
+        )
+    return int(size)
+
+
 def generate_group_records(
     group: GroupStatistics,
     size: int | None = None,
@@ -122,46 +195,58 @@ def generate_group_records(
     Returns
     -------
     numpy.ndarray, shape (size, d)
+
+    Raises
+    ------
+    ValueError
+        If ``size`` is not a non-negative integer, or the group is
+        empty.
     """
     if size is None:
         size = group.count
-    if size < 0:
-        raise ValueError(f"size must be non-negative, got {size}")
+    size = _check_size(size, "size")
     rng = check_random_state(random_state)
-    return _draw_block([group], [size], sampler, rng)[0]
+    out = np.empty((size, group.n_features))
+    _draw_block([group], [size], _block_sampler(sampler), rng, out)
+    return out
 
 
-def _draw_block(groups, sizes, sampler, rng) -> list:
-    """Draw ``sizes[i]`` records from each of ``groups``, in order.
+def _draw_block(groups, sizes, block_sampler, rng, out) -> None:
+    """Draw ``sizes[i]`` records from each of ``groups`` into ``out``.
 
-    The eigen-systems of the whole block come from one stacked
-    decomposition; the sampler is then called once per group, so the
-    random stream is consumed exactly as by one-group-at-a-time draws.
+    ``out`` has ``sum(sizes)`` rows, filled group after group.  The
+    block costs a fixed number of NumPy calls: one stacked
+    decomposition, one sampler draw (the random stream is contiguous
+    across calls, so it is consumed exactly as by one-group-at-a-time
+    draws), and one stacked product per distinct draw size.  Each slice
+    of that product multiplies C-contiguous coordinates by the
+    C-contiguous transpose of the column-major eigenvectors, so NumPy
+    runs the same gemm per slice as a one-group product would.
     """
-    sampler = resolve_sampler(sampler)
     tick = time.perf_counter()
     eigenvalues, eigenvectors = stacked_eigen_systems(groups)
     telemetry.histogram_observe(
         "generation.eigen_seconds", time.perf_counter() - tick
     )
-    parts = []
-    for group, size, values, vectors in zip(
-        groups, sizes, eigenvalues, eigenvectors
-    ):
-        tick = time.perf_counter()
-        coordinates = sampler(rng, values, size)
-        telemetry.histogram_observe(
-            "generation.draw_seconds", time.perf_counter() - tick
+    sizes = np.asarray(sizes, dtype=np.intp)
+    tick = time.perf_counter()
+    coordinates = block_sampler(rng, eigenvalues, sizes)
+    telemetry.histogram_observe(
+        "generation.draw_seconds", time.perf_counter() - tick
+    )
+    telemetry.counter_inc("generation.records", int(sizes.sum()))
+    counts = np.array([group.count for group in groups], dtype=float)
+    centroids = (
+        np.array([group.first_order for group in groups]) / counts[:, None]
+    )
+    transposed = eigenvectors.swapaxes(1, 2)
+    starts = np.cumsum(sizes) - sizes
+    for size in sorted(set(sizes.tolist())):
+        members = np.flatnonzero(sizes == size)
+        rows = starts[members, None] + np.arange(size)
+        out[rows] = centroids[members, None, :] + np.matmul(
+            coordinates[rows], transposed[members]
         )
-        telemetry.counter_inc("generation.records", size)
-        coordinates = np.asarray(coordinates, dtype=float)
-        if coordinates.shape != (size, group.n_features):
-            raise ValueError(
-                "sampler returned wrong shape: expected "
-                f"{(size, group.n_features)}, got {coordinates.shape}"
-            )
-        parts.append(group.centroid[None, :] + coordinates @ vectors.T)
-    return parts
 
 
 def generate_anonymized_data(
@@ -191,6 +276,12 @@ def generate_anonymized_data(
     Returns
     -------
     numpy.ndarray, shape (sum(sizes), d)
+
+    Raises
+    ------
+    ValueError
+        If ``sizes`` does not have one entry per group, or an entry is
+        not a non-negative integer (checked before any draw).
     """
     rng = check_random_state(random_state)
     if sizes is None:
@@ -200,9 +291,16 @@ def generate_anonymized_data(
             f"sizes must have one entry per group ({model.n_groups}), "
             f"got {len(sizes)}"
         )
+    else:
+        sizes = [
+            _check_size(size, f"sizes[{index}]")
+            for index, size in enumerate(sizes)
+        ]
+    block_sampler = _block_sampler(sampler)
+    out = np.empty((sum(sizes), model.n_features))
     with telemetry.span("generation.generate") as generate_span:
         generate_span.set_attribute("n_groups", model.n_groups)
-        generate_span.set_attribute("n_records", int(sum(sizes)))
+        generate_span.set_attribute("n_records", out.shape[0])
         for size in sizes:
             telemetry.histogram_observe(
                 "generation.group_size", size,
@@ -212,12 +310,12 @@ def generate_anonymized_data(
             (group, size)
             for group, size in zip(model.groups, sizes) if size > 0
         ]
-        parts = []
+        row = 0
         for start in range(0, len(drawn), _GENERATION_BLOCK):
             groups, block_sizes = zip(
                 *drawn[start:start + _GENERATION_BLOCK]
             )
-            parts += _draw_block(groups, block_sizes, sampler, rng)
-        if not parts:
-            return np.empty((0, model.n_features))
-        return np.vstack(parts)
+            end = row + sum(block_sizes)
+            _draw_block(groups, block_sizes, block_sampler, rng, out[row:end])
+            row = end
+        return out

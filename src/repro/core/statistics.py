@@ -276,13 +276,51 @@ class GroupStatistics:
         )
 
 
+def stacked_covariances(groups) -> np.ndarray:
+    """Covariances (Observation 2) of several groups, stacked.
+
+    Matrix ``i`` has exactly the bytes of ``groups[i].covariance``: it
+    is formed and symmetrized as in
+    :func:`~repro.linalg.symmetric.covariance_from_sums`, elementwise
+    on the stack.
+
+    Parameters
+    ----------
+    groups:
+        Non-empty sequence of non-empty groups of one dimensionality
+        ``d``.
+
+    Returns
+    -------
+    numpy.ndarray, shape (m, d, d)
+
+    Raises
+    ------
+    ValueError
+        If a group is empty.
+    """
+    counts = [group.count for group in groups]
+    if 0 in counts:
+        raise ValueError("cannot decompose an empty group")
+    counts = np.array(counts, dtype=float)
+    means = np.array([group.first_order for group in groups]) / counts[:, None]
+    covariances = (
+        np.array([group.second_order for group in groups])
+        / counts[:, None, None]
+        - means[:, :, None] * means[:, None, :]
+    )
+    # (A + Aᵀ) / 2 is exactly symmetric, so one pass suffices: a
+    # second would change no bit.
+    return (covariances + covariances.swapaxes(1, 2)) / 2.0
+
+
 def stacked_eigen_systems(groups):
     """Axis systems of several groups from one stacked decomposition.
 
     Group ``i`` gets exactly the bytes a decomposition of its covariance
-    alone would give: the covariance is formed and symmetrized as in
-    :func:`~repro.linalg.symmetric.covariance_from_sums`, and NumPy's
-    ``eigh`` runs LAPACK once per matrix of a stack.
+    alone would give: the covariances come from
+    :func:`stacked_covariances`, and NumPy's ``eigh`` runs LAPACK once
+    per matrix of a stack.
 
     Parameters
     ----------
@@ -305,20 +343,7 @@ def stacked_eigen_systems(groups):
     ValueError
         If a group is empty.
     """
-    counts = [group.count for group in groups]
-    if 0 in counts:
-        raise ValueError("cannot decompose an empty group")
-    counts = np.array(counts, dtype=float)
-    means = np.array([group.first_order for group in groups]) / counts[:, None]
-    covariances = (
-        np.array([group.second_order for group in groups])
-        / counts[:, None, None]
-        - means[:, :, None] * means[:, None, :]
-    )
-    # (A + Aᵀ) / 2 is exactly symmetric, so one pass suffices: a
-    # second would change no bit.
-    covariances = (covariances + covariances.swapaxes(1, 2)) / 2.0
-    eigenvalues, eigenvectors = np.linalg.eigh(covariances)
+    eigenvalues, eigenvectors = np.linalg.eigh(stacked_covariances(groups))
     order = np.argsort(eigenvalues, axis=1)[:, ::-1]
     rows = np.arange(order.shape[0])[:, None]
     # Columns gathered as rows and swapped back, so every

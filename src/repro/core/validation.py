@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.statistics import CondensedModel
+from repro.core.statistics import CondensedModel, stacked_covariances
+
+#: Groups whose covariance eigenvalues :func:`validate_model` computes in
+#: one stacked ``eigvalsh`` call; bounds the stack's memory.
+_VALIDATION_BLOCK = 256
 
 
 def validate_model(
@@ -41,20 +45,27 @@ def validate_model(
         * second-order diagonal entries smaller than allowed by the
           Cauchy-Schwarz bound ``Sc_jj >= Fs_j^2 / n``.
     """
-    problems: list[str] = []
+    # Per-group problem lists keep the report in group order although
+    # the eigenvalue check runs per block, after the scalar checks.
+    found: list[list[str]] = []
+    decomposed = []
     for index, group in enumerate(model.groups):
         prefix = f"group {index}"
+        group_problems: list[str] = []
+        found.append(group_problems)
         if group.count <= 0:
-            problems.append(f"{prefix}: non-positive count {group.count}")
+            group_problems.append(
+                f"{prefix}: non-positive count {group.count}"
+            )
             continue
         if not np.isfinite(group.first_order).all():
-            problems.append(f"{prefix}: non-finite first-order sums")
+            group_problems.append(f"{prefix}: non-finite first-order sums")
             continue
         if not np.isfinite(group.second_order).all():
-            problems.append(f"{prefix}: non-finite second-order sums")
+            group_problems.append(f"{prefix}: non-finite second-order sums")
             continue
         if group.count < model.k:
-            problems.append(
+            group_problems.append(
                 f"{prefix}: size {group.count} below the declared "
                 f"k={model.k}"
             )
@@ -65,18 +76,26 @@ def validate_model(
         violation = lower_bound - diagonal
         if (violation > 1e-6 * scale).any():
             worst = int(np.argmax(violation))
-            problems.append(
+            group_problems.append(
                 f"{prefix}: second-order diagonal below the "
                 f"Cauchy-Schwarz bound at attribute {worst}"
             )
             continue
-        eigenvalues = np.linalg.eigvalsh(group.covariance)
-        eigen_scale = max(abs(float(eigenvalues[-1])), 1.0)
-        if eigenvalues[0] < -1e-6 * eigen_scale:
-            problems.append(
-                f"{prefix}: covariance has significantly negative "
-                f"eigenvalue {eigenvalues[0]:.3e}"
-            )
+        decomposed.append(index)
+    for start in range(0, len(decomposed), _VALIDATION_BLOCK):
+        block = decomposed[start:start + _VALIDATION_BLOCK]
+        eigenvalues = np.linalg.eigvalsh(
+            stacked_covariances([model.groups[index] for index in block])
+        )
+        for index, values in zip(block, eigenvalues):
+            eigen_scale = max(abs(float(values[-1])), 1.0)
+            if values[0] < -1e-6 * eigen_scale:
+                found[index].append(
+                    f"group {index}: covariance has significantly "
+                    f"negative eigenvalue {values[0]:.3e}"
+                )
+    problems = [problem for group_problems in found
+                for problem in group_problems]
     if strict and problems:
         raise ValueError(
             "invalid condensed model: " + "; ".join(problems)

@@ -9,7 +9,7 @@ from repro.core.generation import (
     generate_group_records,
     resolve_sampler,
 )
-from repro.core.statistics import GroupStatistics
+from repro.core.statistics import CondensedModel, GroupStatistics
 
 
 class TestGroupGeneration:
@@ -159,3 +159,67 @@ class TestModelGeneration:
         original_rows = sorted(map(tuple, np.round(gaussian_data, 6)))
         generated_rows = sorted(map(tuple, np.round(generated, 6)))
         assert original_rows == generated_rows
+
+
+class TestSizesValidation:
+    @pytest.fixture
+    def model(self):
+        rng = np.random.default_rng(0)
+        return CondensedModel(
+            [GroupStatistics.from_records(rng.normal(size=(4, 2)))
+             for __ in range(3)],
+            k=4,
+        )
+
+    @pytest.mark.parametrize("bad", [-4, 1.5, 2.0, True, "2", None])
+    def test_bad_entry_named_by_index(self, model, bad):
+        with pytest.raises(ValueError, match=r"sizes\[1\] must be a "
+                                             r"non-negative integer"):
+            generate_anonymized_data(model, sizes=[2, bad, 1],
+                                     random_state=0)
+
+    def test_first_bad_index_is_reported(self, model):
+        with pytest.raises(ValueError, match=r"sizes\[1\]"):
+            generate_anonymized_data(model, sizes=[2, -1, 0.5])
+
+    def test_rejected_before_any_draw(self, model):
+        calls = []
+
+        def sampler(rng, eigenvalues, size):
+            calls.append(size)
+            return np.zeros((size, eigenvalues.shape[0]))
+
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"sizes\[2\]"):
+            generate_anonymized_data(model, sampler=sampler,
+                                     random_state=rng, sizes=[3, 2, -1])
+        assert calls == []
+        assert rng.bit_generator.state == state
+
+    def test_numpy_integers_accepted(self, model):
+        sizes = np.array([2, 0, 3])
+        generated = generate_anonymized_data(model, sizes=sizes,
+                                             random_state=0)
+        assert generated.shape == (5, 2)
+        generated = generate_anonymized_data(
+            model, sizes=[np.int32(1), np.uint8(200), np.uint8(100)],
+            random_state=0,
+        )
+        assert generated.shape == (301, 2)
+
+
+class TestGroupSizeValidation:
+    def test_non_integer_size_rejected(self, gaussian_data):
+        group = GroupStatistics.from_records(gaussian_data)
+        for bad in (1.5, True):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                generate_group_records(group, size=bad)
+
+    def test_negative_size_reported_before_empty_group(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            generate_group_records(GroupStatistics.empty(2), size=-1)
+
+    def test_empty_group_with_draws_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            generate_group_records(GroupStatistics.empty(2), size=3)

@@ -1,13 +1,19 @@
 """Differential tests for block-stacked generation (§2.1).
 
-``generate_anonymized_data`` decomposes the covariances of up to
-``_GENERATION_BLOCK`` groups in one stacked ``eigh`` call and then draws
-per group in model order.  The references below are the earlier
-one-group-at-a-time eigen-system and generation loop, kept as oracles:
-the stacked eigen-systems and the generated arrays must agree with them
-byte for byte.  That identity rests on NumPy running LAPACK once per
-matrix of a stack, which these tests pin for the installed build.
+``generate_anonymized_data`` works in blocks of up to
+``_GENERATION_BLOCK`` groups: one stacked ``eigh`` call, one sampler
+draw for the whole block and one stacked product per distinct draw
+size.  The references below are the earlier one-group-at-a-time
+eigen-system, samplers and generation loop, kept as oracles: the
+stacked eigen-systems, the generated arrays and the generator's state
+afterwards must agree with them byte for byte.  That identity rests on
+NumPy running LAPACK once per matrix of a stack, on a generator's
+stream being contiguous across calls, and on a stacked ``matmul``
+running the same gemm per slice as a 2-D product; these tests pin all
+three for the installed build.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +28,7 @@ from repro.core.generation import (
 from repro.core.statistics import (
     CondensedModel,
     GroupStatistics,
+    stacked_covariances,
     stacked_eigen_systems,
 )
 from repro.linalg.rng import check_random_state
@@ -39,10 +46,30 @@ def reference_eigen_system(group):
     return np.clip(eigenvalues[order], 0.0, None), eigenvectors[:, order]
 
 
+def reference_uniform(rng, eigenvalues, size):
+    """The per-group uniform sampler, as it was."""
+    half_range = np.sqrt(12.0 * eigenvalues) / 2.0
+    return rng.uniform(-1.0, 1.0, size=(size, eigenvalues.shape[0])) * (
+        half_range[None, :]
+    )
+
+
+def reference_gaussian(rng, eigenvalues, size):
+    """The per-group Gaussian sampler, as it was."""
+    stddev = np.sqrt(eigenvalues)
+    return rng.standard_normal((size, eigenvalues.shape[0])) * stddev[None, :]
+
+
+REFERENCE_SAMPLERS = {"uniform": reference_uniform,
+                      "gaussian": reference_gaussian}
+
+
 def reference_generate(model, sampler="uniform", random_state=None,
                        sizes=None):
     """The per-group generation loop, as it was."""
     rng = check_random_state(random_state)
+    if isinstance(sampler, str):
+        sampler = REFERENCE_SAMPLERS[sampler]
     if sizes is None:
         sizes = [group.count for group in model.groups]
     parts = []
@@ -51,7 +78,7 @@ def reference_generate(model, sampler="uniform", random_state=None,
             continue
         eigenvalues, eigenvectors = reference_eigen_system(group)
         coordinates = np.asarray(
-            resolve_sampler(sampler)(rng, eigenvalues, size), dtype=float
+            sampler(rng, eigenvalues, size), dtype=float
         )
         parts.append(group.centroid[None, :] + coordinates @ eigenvectors.T)
     if not parts:
@@ -90,6 +117,28 @@ def random_groups(n_groups, d, seed, low=1, high=40, offset=0.0):
 
 def random_model(n_groups, d=4, seed=0):
     return CondensedModel(random_groups(n_groups, d, seed, low=2), k=2)
+
+
+def mixed_size_model(d, k=5, n_groups=300, seed=0):
+    """Groups of every size from 1 to 2k - 1, plus one that absorbed
+    leftovers (3k + 2 records), cycled over more than one block."""
+    rng = np.random.default_rng(seed)
+    counts = [1 + index % (2 * k - 1) for index in range(n_groups)]
+    counts[n_groups // 3] = 3 * k + 2
+    groups = [
+        GroupStatistics.from_records(
+            rng.normal(size=(count, d)) * rng.uniform(0.1, 3.0, size=d)
+            + rng.normal(size=d) * 10.0
+        )
+        for count in counts
+    ]
+    return CondensedModel(groups, k=1)
+
+
+def interleaved_zeros(model):
+    """Each group's count, with every third group drawing nothing."""
+    return [0 if index % 3 == 1 else group.count
+            for index, group in enumerate(model.groups)]
 
 
 def laplace_sampler(rng, eigenvalues, size):
@@ -160,6 +209,13 @@ class TestStackedEigenSystems:
             once = (matrix + matrix.swapaxes(1, 2)) / 2.0
             twice = (once + once.swapaxes(1, 2)) / 2.0
             assert twice.tobytes() == once.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 4, 20])
+    def test_stacked_covariances_match_group_covariance(self, d):
+        groups = random_groups(60, d, seed=20 + d, offset=50.0)
+        covariances = stacked_covariances(groups)
+        for group, covariance in zip(groups, covariances):
+            assert covariance.tobytes() == group.covariance.tobytes()
 
     def test_empty_group_rejected(self):
         groups = random_groups(3, 2, seed=7) + [GroupStatistics.empty(2)]
@@ -233,15 +289,19 @@ class TestSamplerCalls:
         return sampler
 
     def test_called_once_per_drawn_group_in_model_order(self):
-        model = random_model(300, d=3, seed=14)
-        sizes = [index % 3 for index in range(model.n_groups)]
-        calls, expected = [], []
-        generate_anonymized_data(model, sampler=self._recording(calls),
-                                 random_state=0, sizes=sizes)
-        reference_generate(model, sampler=self._recording(expected),
-                           random_state=0, sizes=sizes)
-        assert len(calls) == sum(1 for size in sizes if size > 0)
-        assert calls == expected
+        cycled = random_model(300, d=3, seed=14)
+        mixed = mixed_size_model(4, seed=16)
+        for model, sizes in (
+            (cycled, [index % 3 for index in range(cycled.n_groups)]),
+            (mixed, interleaved_zeros(mixed)),
+        ):
+            calls, expected = [], []
+            generate_anonymized_data(model, sampler=self._recording(calls),
+                                     random_state=0, sizes=sizes)
+            reference_generate(model, sampler=self._recording(expected),
+                               random_state=0, sizes=sizes)
+            assert len(calls) == sum(1 for size in sizes if size > 0)
+            assert calls == expected
 
     def test_wrong_shape_rejected(self):
         def bad_sampler(rng, eigenvalues, size):
@@ -250,6 +310,19 @@ class TestSamplerCalls:
         with pytest.raises(ValueError, match="wrong shape"):
             generate_anonymized_data(random_model(300), sampler=bad_sampler)
 
+    def test_wrong_row_count_mid_block_rejected(self):
+        calls = []
+
+        def short_sampler(rng, eigenvalues, size):
+            calls.append(size)
+            rows = size - 1 if len(calls) == 100 else size
+            return np.zeros((rows, eigenvalues.shape[0]))
+
+        with pytest.raises(ValueError, match="wrong shape"):
+            generate_anonymized_data(mixed_size_model(3),
+                                     sampler=short_sampler)
+        assert len(calls) == 100
+
     def test_empty_group_with_draws_rejected(self):
         groups = random_groups(300, 2, seed=15, low=2)
         groups[280] = GroupStatistics.empty(2)
@@ -257,3 +330,77 @@ class TestSamplerCalls:
         with pytest.raises(ValueError, match="empty group"):
             generate_anonymized_data(model, sizes=[1] * model.n_groups)
 
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("d", [1, 4, 8, 20])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_mixed_sizes_in_one_block(self, d, zeros):
+        model = mixed_size_model(d, seed=d)
+        sizes = interleaved_zeros(model) if zeros else None
+        assert_same_bytes(
+            generate_anonymized_data(model, random_state=d, sizes=sizes),
+            reference_generate(model, random_state=d, sizes=sizes),
+        )
+
+    @pytest.mark.parametrize("d", [1, 4, 8, 20])
+    def test_every_group_draws_one_record(self, d):
+        # The serve /generate?n=256 shape over a larger model: every
+        # bucket is size 1, a stack of (1, d) @ (d, d) products.
+        model = random_model(600, d=d, seed=30 + d)
+        sizes = [1] * model.n_groups
+        assert_same_bytes(
+            generate_anonymized_data(model, random_state=d, sizes=sizes),
+            reference_generate(model, random_state=d, sizes=sizes),
+        )
+
+    @pytest.mark.parametrize("sampler", ["uniform", "gaussian",
+                                         laplace_sampler])
+    def test_generator_state_matches_reference(self, sampler):
+        model = mixed_size_model(4, seed=40)
+        sizes = interleaved_zeros(model)
+        rng = np.random.default_rng(41)
+        expected_rng = np.random.default_rng(41)
+        assert_same_bytes(
+            generate_anonymized_data(model, sampler=sampler,
+                                     random_state=rng, sizes=sizes),
+            reference_generate(model, sampler=sampler,
+                               random_state=expected_rng, sizes=sizes),
+        )
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", ["uniform", "gaussian"])
+    def test_per_group_sampler_is_the_block_of_one(self, name):
+        rng = np.random.default_rng(42)
+        expected_rng = np.random.default_rng(42)
+        eigenvalues = np.array([4.0, 1.0, 0.25, 0.0])
+        for size in (0, 1, 7):
+            assert_same_bytes(
+                resolve_sampler(name)(rng, eigenvalues, size),
+                REFERENCE_SAMPLERS[name](expected_rng, eigenvalues, size),
+            )
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_resolved_builtin_sampler_matches_its_name(self):
+        model = mixed_size_model(3, seed=43)
+        assert_same_bytes(
+            generate_anonymized_data(
+                model, sampler=resolve_sampler("gaussian"), random_state=5
+            ),
+            reference_generate(model, sampler="gaussian", random_state=5),
+        )
+
+    def test_peak_memory_is_bounded_by_the_output(self):
+        model = CondensedModel(
+            random_groups(2500, 8, seed=44, low=20, high=39), k=20
+        )
+        # Warm up first, so one-time imports and caches are not traced.
+        generate_anonymized_data(random_model(3), random_state=0)
+        tracemalloc.start()
+        try:
+            generated = generate_anonymized_data(model, random_state=0)
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert generated.shape == (model.total_count, 8)
+        assert peak <= 1.5 * generated.nbytes

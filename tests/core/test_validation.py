@@ -7,7 +7,67 @@ import pytest
 
 from repro.core.condensation import create_condensed_groups
 from repro.core.statistics import CondensedModel, GroupStatistics
-from repro.core.validation import validate_model
+from repro.core.validation import _VALIDATION_BLOCK, validate_model
+
+
+def reference_validate(model):
+    """The per-group validation loop, one ``eigvalsh`` per group."""
+    problems = []
+    for index, group in enumerate(model.groups):
+        prefix = f"group {index}"
+        if group.count <= 0:
+            problems.append(f"{prefix}: non-positive count {group.count}")
+            continue
+        if not np.isfinite(group.first_order).all():
+            problems.append(f"{prefix}: non-finite first-order sums")
+            continue
+        if not np.isfinite(group.second_order).all():
+            problems.append(f"{prefix}: non-finite second-order sums")
+            continue
+        if group.count < model.k:
+            problems.append(
+                f"{prefix}: size {group.count} below the declared "
+                f"k={model.k}"
+            )
+        lower_bound = group.first_order**2 / group.count
+        diagonal = np.diag(group.second_order)
+        scale = np.abs(diagonal).max() + 1.0
+        violation = lower_bound - diagonal
+        if (violation > 1e-6 * scale).any():
+            worst = int(np.argmax(violation))
+            problems.append(
+                f"{prefix}: second-order diagonal below the "
+                f"Cauchy-Schwarz bound at attribute {worst}"
+            )
+            continue
+        eigenvalues = np.linalg.eigvalsh(group.covariance)
+        eigen_scale = max(abs(float(eigenvalues[-1])), 1.0)
+        if eigenvalues[0] < -1e-6 * eigen_scale:
+            problems.append(
+                f"{prefix}: covariance has significantly negative "
+                f"eigenvalue {eigenvalues[0]:.3e}"
+            )
+    return problems
+
+
+def large_model(n_groups=600, d=4, k=5, seed=0):
+    """More groups than one validation block, all valid."""
+    rng = np.random.default_rng(seed)
+    groups = [
+        GroupStatistics.from_records(
+            rng.normal(size=(int(rng.integers(k, 2 * k)), d)) * 3.0 + 5.0
+        )
+        for __ in range(n_groups)
+    ]
+    return CondensedModel(groups, k=k)
+
+
+def indefinite(group, index, magnitude):
+    """Push one off-diagonal pair of ``Sc`` past any real record set."""
+    second_order = group.second_order
+    bump = magnitude * np.sqrt(second_order[0, 0] * second_order[1, 1])
+    second_order[0, 1] += bump * (1 + index % 3)
+    second_order[1, 0] = second_order[0, 1]
 
 
 class TestValidateModel:
@@ -99,3 +159,48 @@ class TestLoadModelValidation:
         path.write_text(json.dumps(payload))
         loaded = load_model(path, validate=False)
         assert loaded.groups[0].count == 1
+
+
+class TestMatchesPerGroupReference:
+    def test_valid_models(self, gaussian_data):
+        from repro.core.coarsen import coarsen_model
+
+        fresh = create_condensed_groups(gaussian_data, k=10, random_state=0)
+        for model in (fresh, coarsen_model(fresh, 20), large_model(),
+                      large_model(d=1, seed=1), large_model(d=12, seed=2)):
+            assert validate_model(model) == reference_validate(model) == []
+
+    def test_tampered_models(self):
+        model = large_model(n_groups=700)
+        groups = model.groups
+        groups[3].first_order[1] = np.nan
+        groups[300].second_order[2, 2] = np.inf
+        groups[10].count = 0
+        groups[257].count = -2
+        groups[40].count = 3  # below k
+        groups[255].second_order[0, 0] = -1e6  # Cauchy-Schwarz
+        groups[256].second_order[1, 1] = -1e6
+        # Below k and a negative eigenvalue: both are reported.
+        groups[100] = GroupStatistics.from_records(
+            np.random.default_rng(1).normal(size=(4, 4))
+        )
+        for position, index in enumerate([0, 1, 100, 511, 512, 699]):
+            indefinite(groups[index], position, 2.0 + position)
+        expected = reference_validate(model)
+        assert sum("negative eigenvalue" in p for p in expected) == 6
+        assert sum("below the declared" in p for p in expected) == 2
+        assert validate_model(model) == expected
+
+    def test_eigen_checks_cross_block_boundaries(self):
+        model = large_model(n_groups=3 * _VALIDATION_BLOCK + 1)
+        # The first and last group of every block, and a spread between.
+        flagged = sorted(
+            {edge * _VALIDATION_BLOCK for edge in (0, 1, 2, 3)}
+            | {edge * _VALIDATION_BLOCK - 1 for edge in (1, 2, 3)}
+            | set(range(0, model.n_groups, 37))
+        )
+        for index in flagged:
+            indefinite(model.groups[index], index, 3.0)
+        expected = reference_validate(model)
+        assert len(expected) == len(flagged)
+        assert validate_model(model) == expected

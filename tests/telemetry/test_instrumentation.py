@@ -136,11 +136,12 @@ class TestGenerationMetrics:
         assert registry.counter("generation.records").value() == (
             pytest.approx(600.0)
         )
-        # One eigendecomposition per block of 256 groups: 300 groups
-        # make two blocks; draws stay one per group.
+        # One eigendecomposition and one draw per block of 256 groups:
+        # 300 groups make two blocks; group sizes stay one per group.
         assert model.n_groups == 300
         assert registry.histogram("generation.eigen_seconds").count() == 2
-        assert registry.histogram("generation.draw_seconds").count() == (
+        assert registry.histogram("generation.draw_seconds").count() == 2
+        assert registry.histogram("generation.group_size").count() == (
             model.n_groups
         )
 
