@@ -4,15 +4,15 @@ Times the serial ``create_condensed_groups`` against the sharded
 engine on the same data at a *fixed utility contract*: both models
 must conserve moment mass exactly and meet the privacy level, so the
 timing comparison is between runs producing equivalent models — not a
-fast path that quietly trades utility away.  Every backend run also
-records a model digest, and digests must agree across backends and
-worker counts at fixed ``n_shards`` — the determinism contract,
+fast path that quietly trades utility away.  Every sharded run also
+records a model digest, and digests must agree between serial and
+process-pool runs at fixed ``n_shards`` — the determinism contract,
 re-checked at benchmark scale.
 
 Tiers run at 4×10³, 2×10⁴ and 10⁵ records (set ``REPRO_BENCH_SCALE=
 full`` for the 10⁶ tier); the series plus the measured serial/process
 **crossover** is dumped to ``BENCH_parallel.json`` at the repo root
-for CI artifact upload.  CI ratchets the top tier: the process backend
+for CI artifact upload.  CI ratchets the top tier: the process pool
 must beat serial by ≥ 2× there — the zero-copy payload plus warm-pool
 design carries that margin even on a single-CPU runner, because
 sharding shrinks the per-record group-distance scan
@@ -55,13 +55,14 @@ FULL_SCALE = os.environ.get("REPRO_BENCH_SCALE") == "full"
 if FULL_SCALE:
     TIERS.append((1_000_000, 1, (32,)))
 
-#: Ratchet: at and above this tier the process backend must beat
+#: Ratchet: at and above this tier the process pool must beat
 #: serial by this factor.
 RATCHET_RECORDS = 100_000
 RATCHET_SPEEDUP = 2.0
 
-#: Backend sweep at each ``(tier, n_shards)`` point.
-BACKEND_GRID = (("serial", 1), ("thread", 2), ("process", 2))
+#: ``(label, n_workers)`` sweep at each ``(tier, n_shards)`` point: one
+#: worker runs the shards in-process, more run them on the process pool.
+BACKEND_GRID = (("serial", 1), ("process", 2))
 
 
 def make_data(n_records):
@@ -105,7 +106,7 @@ def check_utility(data, model, k=K):
 
 
 def measure_tier(n_records, rounds, shard_grid):
-    """Serial baseline plus the backend sweep for one tier."""
+    """Serial baseline plus the worker-count sweep for one tier."""
     data = make_data(n_records)
     serial_seconds, serial_model = timed(
         lambda: create_condensed_groups(
@@ -120,9 +121,9 @@ def measure_tier(n_records, rounds, shard_grid):
         digests = set()
         for backend, n_workers in BACKEND_GRID:
             seconds, model = timed(
-                lambda b=backend, w=n_workers: condense_sharded(
+                lambda w=n_workers: condense_sharded(
                     data, K, strategy="random", random_state=0,
-                    n_shards=n_shards, n_workers=w, backend=b,
+                    n_shards=n_shards, n_workers=w,
                 ),
                 rounds,
             )
@@ -145,10 +146,10 @@ def measure_tier(n_records, rounds, shard_grid):
             # Fixed utility: sharding may cost a little locality but
             # must stay in the serial engine's information-loss regime.
             assert loss <= max(2.0 * serial_loss, serial_loss + 0.05)
-        # Determinism at benchmark scale: every backend and worker
-        # count produced the bit-identical model for this shard count.
+        # Determinism at benchmark scale: every worker count produced
+        # the bit-identical model for this shard count.
         assert len(digests) == 1, (
-            f"backend-dependent result at n={n_records}, "
+            f"worker-count-dependent result at n={n_records}, "
             f"n_shards={n_shards}: {sorted(digests)}"
         )
     return {
@@ -165,7 +166,7 @@ def measure_tier(n_records, rounds, shard_grid):
 
 
 def best_process_seconds(tier):
-    """Fastest process-backend wall-clock measured in a tier."""
+    """Fastest process-pool wall-clock measured in a tier."""
     return min(
         run["seconds"] for run in tier["sharded"]
         if run["backend"] == "process"
@@ -174,7 +175,7 @@ def best_process_seconds(tier):
 
 
 def measured_crossover(tiers):
-    """Smallest tier from which the process backend always beats
+    """Smallest tier from which the process pool always beats
     serial; ``None`` when it never does."""
     crossover = None
     for tier in tiers:
@@ -214,14 +215,14 @@ def test_serial_vs_sharded_wall_clock():
         )
     print(f"crossover: {crossover} records")
 
-    # CI ratchet: above the crossover the warm-pool process backend
-    # must hold a real margin over serial, not a rounding error.
+    # CI ratchet: above the crossover the warm process pool must hold
+    # a real margin over serial, not a rounding error.
     for tier in tiers:
         if tier["n_records"] < RATCHET_RECORDS:
             continue
         speedup = tier["serial"]["seconds"] / best_process_seconds(tier)
         assert speedup >= RATCHET_SPEEDUP, (
-            f"process backend speedup {speedup:.2f}x at "
+            f"process pool speedup {speedup:.2f}x at "
             f"n={tier['n_records']} is under the {RATCHET_SPEEDUP}x "
             f"ratchet"
         )

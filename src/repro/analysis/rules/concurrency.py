@@ -1,15 +1,15 @@
 """CONC-001/002 — fork- and share-safety of the parallel engine.
 
 ``repro.parallel`` owes its determinism contract (results independent
-of worker count and backend) to two structural properties the DET
-rules do not check:
+of worker count, pooled or serial) to two structural properties the
+DET rules do not check:
 
 * **no shared-object mutation** — a worker function receives its task
-  tuple *by value* across the process boundary; on the thread backend
-  the same objects are shared memory.  A worker that mutates its task
-  payload (or a callee that mutates a parameter fed from it) is
-  invisible corruption on threads and silently-divergent state on
-  processes.  The sanctioned way to combine worker results is the
+  tuple *by value* across the process boundary; on the serial path the
+  same objects are shared by every shard the coordinator runs in turn.
+  A worker that mutates its task payload (or a callee that mutates a
+  parameter fed from it) leaks state into later shards serially and
+  not in the pool, so the two runs silently diverge.  The sanctioned way to combine worker results is the
   statistics-additivity merge *in the driver*, after the future
   resolves — never in-place through the submitted objects.
 * **no captured resources** — a payload that carries an open file
@@ -62,9 +62,9 @@ _RNG_CONSTRUCTORS = frozenset({
 
 _CONC001_MESSAGE = (
     "{described} mutates {name!r}, which worker {root}() receives "
-    "through a pool submission; shared-payload mutation corrupts "
-    "sibling shards on the thread backend and silently diverges on "
-    "processes — return the result and merge it in the driver via "
+    "through a pool submission; shared-payload mutation leaks into "
+    "later shards on the serial path and silently diverges from the "
+    "process pool — return the result and merge it in the driver via "
     "statistics additivity"
 )
 _CONC002_MESSAGE = (

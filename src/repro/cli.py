@@ -475,15 +475,6 @@ def _command_serve(arguments) -> int:
     # was requested, so serving always runs on a real pipeline.
     if not telemetry.enabled():
         telemetry.configure(max_events=UNTRACED_SPAN_EVENTS)
-    pool = None
-    if arguments.pool_workers:
-        # Pre-warm the shared pool so co-located condense_sharded jobs
-        # (offline re-anonymization against the served shards) skip
-        # worker spawn; the service owns it and closes it on shutdown.
-        from repro.parallel import get_shared_pool
-
-        pool = get_shared_pool(arguments.pool_workers)
-        pool.ensure_workers(arguments.pool_workers)
     if arguments.checkpoint_dir is not None:
         service = ShardedCondensationService.open(
             arguments.checkpoint_dir, arguments.shards, arguments.k,
@@ -492,7 +483,6 @@ def _command_serve(arguments) -> int:
             checkpoint_every=arguments.checkpoint_every,
             fsync_every=arguments.fsync_every,
             random_state=arguments.seed,
-            worker_pool=pool,
         )
         if service.recovered_shards:
             _logger.info(
@@ -506,7 +496,6 @@ def _command_serve(arguments) -> int:
             strategy=arguments.strategy, sampler=arguments.sampler,
             bootstrap_size=arguments.bootstrap_size,
             random_state=arguments.seed,
-            worker_pool=pool,
         )
     server = AnonymizationHTTPServer(
         (arguments.host, arguments.port), service,
@@ -738,11 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port-file", default=None, metavar="PATH",
                        help="write the bound port to PATH after "
                             "binding (for --port 0 coordination)")
-    serve.add_argument("--pool-workers", type=int, default=0,
-                       metavar="N",
-                       help="pre-warm a persistent N-worker pool for "
-                            "co-located batch condensation (default: "
-                            "0, no pool)")
     serve.set_defaults(handler=_command_serve)
 
     loadgen = subparsers.add_parser(

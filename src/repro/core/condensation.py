@@ -29,6 +29,35 @@ from repro.neighbors.brute import (
 from repro.telemetry import DEFAULT_SIZE_BUCKETS
 
 
+def require_positive_int(value, name: str) -> int:
+    """``value`` as an ``int``, if it is an integer of at least 1.
+
+    Parameters
+    ----------
+    value:
+        The count to check: an ``int`` or ``numpy.integer``.
+    name:
+        Parameter name for the error message.
+
+    Returns
+    -------
+    int
+
+    Raises
+    ------
+    ValueError
+        Naming ``name``, if it is not.  A float is not truncated and a
+        ``bool`` is not a count.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value < 1
+    ):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def create_condensed_groups(
     data: np.ndarray,
     k: int,
@@ -78,12 +107,13 @@ def create_condensed_groups(
         The set ``H`` of per-group statistics.  Every group has at least
         ``k`` records; leftover records inflate their nearest group.
     """
+    k = require_positive_int(k, "k")
     if n_shards is not None or n_workers is not None:
         # Deferred import: repro.parallel builds on this module.
         from repro.parallel.engine import condense_sharded
 
         if n_shards is None:
-            n_shards = int(n_workers)
+            n_shards = require_positive_int(n_workers, "n_workers")
         return condense_sharded(
             data, k, strategy=strategy, random_state=random_state,
             n_shards=n_shards, n_workers=n_workers,
@@ -103,8 +133,6 @@ def create_condensed_groups(
             "before condensation"
         )
     n, __ = data.shape
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if n < k:
         raise ValueError(
             f"need at least k={k} records to condense, got {n}"

@@ -1,9 +1,4 @@
-"""Data and model I/O: CSV for records, JSON for condensed models.
-
-Also home to the memory-mapped array exchange files
-(:mod:`repro.io.mmapio`) that back :mod:`repro.parallel`'s zero-copy
-worker hand-off where POSIX shared memory is unavailable.
-"""
+"""Data and model I/O: CSV for records, JSON for condensed models."""
 
 from repro.io.csv import (
     read_dataset,
@@ -11,7 +6,6 @@ from repro.io.csv import (
     write_dataset,
     write_records,
 )
-from repro.io.mmapio import open_array_mmap, write_array_mmap
 from repro.io.model_store import load_model, save_model
 
 __all__ = [
@@ -20,7 +14,5 @@ __all__ = [
     "write_dataset",
     "write_records",
     "load_model",
-    "open_array_mmap",
     "save_model",
-    "write_array_mmap",
 ]

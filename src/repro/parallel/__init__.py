@@ -16,21 +16,21 @@ Entry points
 * :func:`principal_axis_shards` — the recursive principal-axis
   bisection partitioner.
 * :class:`WorkerPool` / :func:`get_shared_pool` — the persistent warm
-  worker pool the process backend runs on (:mod:`repro.parallel.pool`).
+  worker pool the shards run on (:mod:`repro.parallel.pool`).
 * :func:`publish_payload` / :func:`attach_payload` — the zero-copy
   shared-memory shard payloads (:mod:`repro.parallel.shm`).
 
 Determinism: shard seeds are spawned from ``random_state`` with
 :func:`repro.linalg.rng.spawn_seed_sequences`, so for a fixed shard
-count the result never depends on the worker count or backend.  A
-backend that degrades mid-run announces it with
-:class:`ParallelDegradationWarning` without changing the result.  See
+count the result never depends on the worker count.  A pool that
+cannot finish hands the remaining shards to in-process serial
+execution and announces it with :class:`ParallelDegradationWarning`,
+without changing the result.  See
 ``docs/parallel.md`` for the design and ``docs/performance.md`` for
 the measured serial/process crossover.
 """
 
 from repro.parallel.engine import (
-    BACKENDS,
     REPAIR_POLICIES,
     ParallelDegradationWarning,
     condense_sharded,
@@ -49,7 +49,6 @@ from repro.parallel.sharding import (
     shard_size_summary,
 )
 from repro.parallel.shm import (
-    PAYLOAD_BACKENDS,
     PayloadDescriptor,
     ShardPayload,
     attach_payload,
@@ -57,8 +56,6 @@ from repro.parallel.shm import (
 )
 
 __all__ = [
-    "BACKENDS",
-    "PAYLOAD_BACKENDS",
     "ParallelDegradationWarning",
     "PayloadDescriptor",
     "REPAIR_POLICIES",

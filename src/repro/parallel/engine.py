@@ -20,7 +20,8 @@ Shard seeds derive from ``random_state`` through
 one spawned child per shard.  The partition itself is deterministic,
 and per-shard results are collected in shard order.  Consequently the
 output depends only on ``(data, k, strategy, random_state, n_shards)``
-— never on ``n_workers`` or the executor backend — and with
+— never on ``n_workers`` or on whether the shards ran in the process
+pool or in-process — and with
 ``n_shards=1`` the deterministic strategies (``"mdav"``) reproduce the
 serial model bit for bit.
 """
@@ -32,13 +33,15 @@ import logging
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor, as_completed
 
 import numpy as np
 
 from repro import telemetry
 from repro.core.coarsen import coarsen_model
-from repro.core.condensation import create_condensed_groups
+from repro.core.condensation import (
+    create_condensed_groups,
+    require_positive_int,
+)
 from repro.core.dynamic import split_group_statistics
 from repro.core.statistics import CondensedModel, GroupStatistics
 from repro.core.strategies import resolve_strategy
@@ -54,9 +57,6 @@ from repro.telemetry import DEFAULT_SECONDS_BUCKETS, DEFAULT_SIZE_BUCKETS
 
 _logger = logging.getLogger("repro")
 
-#: Executor backends accepted by :func:`condense_sharded`.
-BACKENDS = ("auto", "process", "thread", "serial")
-
 #: Repair policies for groups left under ``k`` by the shard merge.
 REPAIR_POLICIES = ("merge", "merge_resplit")
 
@@ -71,19 +71,19 @@ _RUN_TOKENS = itertools.count()
 
 
 class ParallelDegradationWarning(UserWarning):
-    """The engine degraded to a slower backend mid-run.
+    """The engine degraded from the process pool to serial mid-run.
 
-    The result is unchanged — the determinism contract holds on every
-    backend — but throughput is not what the caller asked for, which a
-    deployment should notice.  The warning carries structured fields
-    so operators can alert on it without parsing the message.
+    The result is unchanged — the determinism contract holds however
+    the shards run — but throughput is not what the caller asked for,
+    which a deployment should notice.  The warning carries structured
+    fields so operators can alert on it without parsing the message.
 
     Attributes
     ----------
     from_backend:
-        Backend that could not finish (``"process"`` or ``"thread"``).
+        Backend that could not finish (``"process"``).
     to_backend:
-        Backend the pending shards moved to.
+        Backend the pending shards moved to (``"serial"``).
     n_pending:
         Shards still unfinished at the moment of degradation.
     reason:
@@ -103,31 +103,29 @@ class ParallelDegradationWarning(UserWarning):
 
 
 class _PoolFailure(Exception):
-    """A pool could not finish its shards; try the next backend."""
+    """The pool could not finish its shards; run the rest serially."""
 
     def __init__(self, cause):
         super().__init__(str(cause))
         self.cause = cause
 
 
-def _warn_degraded(from_backend: str, to_backend: str,
-                   n_pending: int, cause) -> None:
-    """Emit the structured degradation warning and matching log line."""
+def _warn_degraded(n_pending: int, cause) -> None:
+    """Count the process → serial step; emit its warning and log line."""
     reason = f"{type(cause).__name__}: {cause}"
+    telemetry.counter_inc("parallel.serial_fallbacks")
     warnings.warn(
-        ParallelDegradationWarning(
-            from_backend, to_backend, n_pending, reason
-        ),
+        ParallelDegradationWarning("process", "serial", n_pending, reason),
         stacklevel=3,
     )
     _logger.warning(
-        "%s pool could not finish %d shard(s) (%s); falling back to %s",
-        from_backend, n_pending, reason, to_backend,
+        "process pool could not finish %d shard(s) (%s); falling back "
+        "to serial", n_pending, reason,
     )
 
 
 def _condense_shard(task):
-    """Condense one shard; runs inside a worker (process or thread).
+    """Condense one shard, in a pool worker or in-process.
 
     ``task`` is ``(records, k, strategy, sequence)``.  Returns the
     shard's group statistics and shard-local memberships; shards
@@ -151,7 +149,7 @@ def _condense_shard_payload(descriptor, shard_index, k, strategy,
                             sequence):
     """Condense one shard read from a published zero-copy payload.
 
-    The process-backend worker entry point: attaches to the shared
+    The pool worker entry point: attaches to the shared
     payload (cached across this run's tasks), materializes only its
     own shard, and delegates to :func:`_condense_shard`.  Returns the
     shard result plus the attach latency (``0.0`` for cache hits) so
@@ -211,11 +209,11 @@ def _drain_warm_pool(pool, data, shards, tasks, pending, record,
                      max_retries):
     """Run the pending shards on the persistent process pool.
 
-    The shard payload is published once (shared memory, or mmap files
-    where unavailable); per-task pipe traffic is the descriptor plus
-    scalars.  Worker deaths are respawned and retried *inside* the
-    pool; task-level exceptions are retried here with exponential
-    backoff, ``ValueError`` excepted (deterministic input error).
+    The shard payload is published once into shared memory; per-task
+    pipe traffic is the descriptor plus scalars.  Worker deaths are
+    respawned and retried *inside* the pool; task-level exceptions are
+    retried here with exponential backoff, ``ValueError`` excepted
+    (deterministic input error).
 
     Every submission is keyed ``(run_token, shard_index)``.  When a
     run aborts (input error, crashed worker, exhausted retries) its
@@ -228,13 +226,14 @@ def _drain_warm_pool(pool, data, shards, tasks, pending, record,
     Raises
     ------
     _PoolFailure
-        When a shard exhausts its retries or the pool cannot take
-        work; the caller moves on to the next backend.
+        When the payload cannot be published, a shard exhausts its
+        retries or the pool cannot take work; the caller runs the
+        remaining shards serially.
     """
     attempts = dict.fromkeys(pending, 0)
     token = next(_RUN_TOKENS)
-    with publish_payload(data, shards) as payload, pool.run_lock:
-        try:
+    try:
+        with publish_payload(data, shards) as payload, pool.run_lock:
             for index in pending:
                 pool.submit(
                     _condense_shard_payload, payload.descriptor, index,
@@ -284,94 +283,37 @@ def _drain_warm_pool(pool, data, shards, tasks, pending, record,
                     tasks[index][0], tasks[index][1], tasks[index][2],
                     key=(token, index),
                 )
-        except (ValueError, _PoolFailure):
-            raise
-        except Exception as error:
-            # Structural failures (pool closed underneath us, pipe
-            # plumbing): hand the shards to the next backend.
-            raise _PoolFailure(error) from error
-
-
-def _drain_thread_pool(data, shards, tasks, n_workers, pending, record,
-                       max_retries):
-    """Run the pending shards on a per-call thread pool.
-
-    Threads share the address space, so shards are passed as direct
-    array slices — no payload publication.  Retry semantics match the
-    process path.
-
-    Raises
-    ------
-    _PoolFailure
-        When the pool breaks or a shard exhausts its retries.
-    """
-    attempts = dict.fromkeys(pending, 0)
-
-    def shard_task(index):
-        k, strategy, sequence = tasks[index]
-        return (data[shards[index]], k, strategy, sequence)
-
-    try:
-        with ThreadPoolExecutor(max_workers=n_workers) as executor:
-            futures = {
-                executor.submit(_condense_shard, shard_task(index)):
-                    index
-                for index in pending
-            }
-            while futures:
-                for future in as_completed(list(futures)):
-                    index = futures.pop(future)
-                    try:
-                        result = future.result()
-                    except ValueError:
-                        raise
-                    except Exception as error:
-                        attempts[index] += 1
-                        if attempts[index] > max_retries:
-                            raise _PoolFailure(error) from error
-                        telemetry.counter_inc("parallel.retries")
-                        _logger.warning(
-                            "shard %d failed (%s: %s); retry %d/%d",
-                            index, type(error).__name__, error,
-                            attempts[index], max_retries,
-                        )
-                        time.sleep(
-                            RETRY_BASE_DELAY * 2 ** (attempts[index] - 1)
-                        )
-                        futures[
-                            executor.submit(
-                                _condense_shard, shard_task(index)
-                            )
-                        ] = index
-                        continue
-                    record(index, result)
     except (ValueError, _PoolFailure):
         raise
     except Exception as error:
+        # Structural failures (no shared memory, pool closed underneath
+        # us, pipe plumbing): hand the shards to the serial path.
         raise _PoolFailure(error) from error
 
 
-def _run_shard_tasks(data, shards, tasks, n_workers: int, backend: str,
-                     record, store=None, max_retries: int = 2,
+def _run_shard_tasks(data, shards, tasks, n_workers: int, record,
+                     store=None, max_retries: int = 2,
                      pool=None) -> tuple:
-    """Execute shard tasks on the selected backend.
+    """Execute shard tasks on the process pool, or serially.
 
     Every completed shard is delivered through ``record(index,
     result)`` *as it lands* — the caller merges and checkpoints
     incrementally.  With a
     :class:`~repro.durability.shards.ShardCheckpointStore`,
     already-completed shards are preloaded instead of recomputed.
-    Failed shards are retried with exponential backoff; a pool that
-    cannot finish falls back process → thread → serial (each
-    degradation announced by a :class:`ParallelDegradationWarning`),
-    because the result is backend-independent by construction.
+    With one worker or one pending shard the shards run in-process.
+    Otherwise they run on the warm process pool; failed shards are
+    retried with exponential backoff, and a pool that cannot finish
+    hands the remaining shards to the serial path (announced by a
+    :class:`ParallelDegradationWarning`), because the result does not
+    depend on where the shards ran.
 
     Returns
     -------
     tuple
-        ``(effective_backend, degraded)`` — the backend that finished
-        the pending shards and whether that required degrading below
-        the requested backend.
+        ``(effective_backend, degraded)`` — ``"process"``,
+        ``"serial"`` or ``"checkpoint"``, and whether the pool had to
+        give way to serial execution.
     """
     pending = []
     for index in range(len(tasks)):
@@ -392,44 +334,24 @@ def _run_shard_tasks(data, shards, tasks, n_workers: int, backend: str,
         record(index, result)
 
     degraded = False
-    if not (backend == "serial" or n_workers <= 1 or len(pending) <= 1):
-        if backend in ("auto", "process"):
-            try:
-                warm_pool = (
-                    pool if pool is not None
-                    else get_shared_pool(n_workers)
-                )
-                _drain_warm_pool(
-                    warm_pool, data, shards, tasks, list(pending),
-                    record_pending, max_retries,
-                )
-            except _PoolFailure as failure:
-                pending = [i for i in pending if i not in done]
-                degraded = True
-                _warn_degraded(
-                    "process", "thread", len(pending), failure.cause
-                )
-            else:
-                return "process", False
+    if n_workers > 1 and len(pending) > 1:
         try:
-            _drain_thread_pool(
-                data, shards, tasks, n_workers, list(pending),
+            warm_pool = (
+                pool if pool is not None else get_shared_pool(n_workers)
+            )
+            _drain_warm_pool(
+                warm_pool, data, shards, tasks, list(pending),
                 record_pending, max_retries,
             )
         except _PoolFailure as failure:
             pending = [i for i in pending if i not in done]
             degraded = True
-            telemetry.counter_inc("parallel.serial_fallbacks")
-            _warn_degraded(
-                "thread", "serial", len(pending), failure.cause
-            )
+            _warn_degraded(len(pending), failure.cause)
         else:
-            return "thread", degraded
+            return "process", False
     for index in pending:
-        if index in done:
-            continue
         k, strategy, sequence = tasks[index]
-        record_pending(
+        record(
             index,
             _condense_shard((data[shards[index]], k, strategy, sequence)),
         )
@@ -437,12 +359,9 @@ def _run_shard_tasks(data, shards, tasks, n_workers: int, backend: str,
 
 
 def _resolve_workers(n_workers, n_shards: int) -> int:
-    """Normalize the worker count (default: one per shard, CPU-capped)."""
+    """The worker count as given, or one per shard, CPU-capped."""
     if n_workers is None:
         return max(1, min(n_shards, os.cpu_count() or 1))
-    n_workers = int(n_workers)
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     return n_workers
 
 
@@ -500,7 +419,6 @@ def condense_sharded(
     random_state=None,
     n_shards: int = 2,
     n_workers=None,
-    backend: str = "auto",
     repair: str = "merge",
     checkpoint_dir=None,
     max_retries: int = 2,
@@ -528,21 +446,21 @@ def condense_sharded(
         Seed-selection strategy name or object, as accepted by
         :func:`repro.core.strategies.resolve_strategy`.  Object
         strategies must be picklable to cross the process boundary;
-        unpicklable ones fall back to the thread backend.
+        with an unpicklable one the run degrades to serial.
     random_state:
         Seed or generator; shard seeds are spawned from it via
         :func:`repro.linalg.rng.spawn_seed_sequences`, so results are
         reproducible for a fixed ``n_shards`` under any worker count.
     n_shards:
-        Number of spatial shards.  ``1`` runs the whole database as a
-        single shard (bit-identical to the serial path for
-        deterministic strategies such as ``"mdav"``).
+        Number of spatial shards, an integer.  ``1`` runs the whole
+        database as a single shard (bit-identical to the serial path
+        for deterministic strategies such as ``"mdav"``).
     n_workers:
-        Worker-pool size; ``None`` uses one worker per shard, capped
-        at the CPU count.  ``1`` condenses shards serially in-process.
-    backend:
-        ``"auto"`` (default: processes with thread/serial fallback),
-        ``"process"``, ``"thread"``, or ``"serial"``.
+        Process-pool size, an integer; ``None`` uses one worker per
+        shard, capped at the CPU count.  ``1`` condenses shards
+        serially in-process.  The pool's shard payload travels through
+        POSIX shared memory; where that cannot be published, or the
+        pool cannot finish, the remaining shards run serially.
     repair:
         ``"merge"`` (default) merges undersized boundary groups into
         their nearest neighbour; ``"merge_resplit"`` additionally
@@ -566,8 +484,8 @@ def condense_sharded(
         OOM kill) is respawned and retried inside the warm pool
         independently of this budget.
     pool:
-        A :class:`repro.parallel.pool.WorkerPool` to run process-
-        backend shards on.  ``None`` (default) uses the module-shared
+        A :class:`repro.parallel.pool.WorkerPool` to run the shards
+        on.  ``None`` (default) uses the module-shared
         warm pool (:func:`repro.parallel.pool.get_shared_pool`), which
         persists across calls so repeated condensations skip worker
         spawn entirely.  Pass an explicitly owned pool to control its
@@ -584,8 +502,9 @@ def condense_sharded(
     Raises
     ------
     ValueError
-        If the inputs fail validation, or ``backend`` / ``repair`` is
-        unknown.
+        If the inputs fail validation (``k``, ``n_shards`` and
+        ``n_workers`` must be integers, not floats or bools), or
+        ``repair`` is unknown.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -596,18 +515,14 @@ def condense_sharded(
             "before condensation"
         )
     n = data.shape[0]
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = require_positive_int(k, "k")
     if n < k:
         raise ValueError(
             f"need at least k={k} records to condense, got {n}"
         )
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"backend must be one of {BACKENDS}, got {backend!r}"
-        )
+    n_shards = require_positive_int(n_shards, "n_shards")
+    if n_workers is not None:
+        n_workers = require_positive_int(n_workers, "n_workers")
     if repair not in REPAIR_POLICIES:
         raise ValueError(
             f"repair must be one of {REPAIR_POLICIES}, got {repair!r}"
@@ -670,7 +585,7 @@ def condense_sharded(
             merger.offer(index, result)
 
         effective_backend, degraded = _run_shard_tasks(
-            data, shards, tasks, n_workers, backend, record,
+            data, shards, tasks, n_workers, record,
             store=store, max_retries=max_retries, pool=pool,
         )
         if not merger.complete:  # pragma: no cover - defensive
@@ -702,7 +617,6 @@ def condense_sharded(
             "shard_min_size": summary["min_size"],
             "shard_max_size": summary["max_size"],
             "n_workers": n_workers,
-            "backend": backend,
             "repair": repair,
             "n_merge_repairs": n_repairs,
             "n_resplits": n_resplits,

@@ -1,4 +1,4 @@
-"""Zero-copy shard payloads over shared memory (with an mmap fallback).
+"""Zero-copy shard payloads over shared memory.
 
 The sharded engine's original process backend pickled every shard's
 record array into the worker pipe — at 10⁵ records the serialization
@@ -12,9 +12,9 @@ the records themselves are mapped, not copied, until the worker
 fancy-indexes its own shard out of the view.
 
 Where POSIX shared memory is unavailable (no ``/dev/shm``, sandboxed
-interpreters) the payload degrades to memory-mapped ``.npy`` files
-written through :mod:`repro.io.mmapio` — the same zero-copy attach
-semantics via the OS page cache.
+interpreters) :func:`publish_payload` raises ``OSError`` and the engine
+runs the shards serially: raw records never leave the coordinator's
+memory for a file.
 
 Lifetime discipline (policed by RES-001 and exercised by
 ``tests/parallel/test_shm.py``): the coordinator that publishes a
@@ -22,10 +22,7 @@ payload owns it.  ``close()`` both detaches and unlinks, is
 idempotent, runs on success *and* failure via context-manager use in
 the engine, and every live payload is additionally unlinked at
 interpreter exit through an ``atexit`` hook — no leaked ``/dev/shm``
-segments, ever.  An mmap-fallback directory whose removal fails (a
-worker still holds the mapping) is logged and retried at the next
-publish and at interpreter exit instead of silently leaking record
-data.  Workers only ever attach; their cached attachments
+segments, ever.  Workers only ever attach; their cached attachments
 are dropped when a new payload supersedes the old one and when the
 worker loop exits.
 """
@@ -33,28 +30,18 @@ worker loop exits.
 from __future__ import annotations
 
 import atexit
-import logging
-import os
-import shutil
 import sys
-import tempfile
 import time
 from typing import NamedTuple
 
 import numpy as np
 
 from repro import telemetry
-from repro.io.mmapio import open_array_mmap, write_array_mmap
 
 try:  # pragma: no cover - import failure exercised via monkeypatch
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover
     _shared_memory = None
-
-_logger = logging.getLogger("repro")
-
-#: Payload backends, in preference order.
-PAYLOAD_BACKENDS = ("shm", "mmap")
 
 
 class PayloadDescriptor(NamedTuple):
@@ -62,24 +49,20 @@ class PayloadDescriptor(NamedTuple):
 
     Attributes
     ----------
-    backend:
-        ``"shm"`` (named shared-memory block) or ``"mmap"``
-        (directory of memory-mapped ``.npy`` files).
     token:
-        Shared-memory block name, or the mmap directory path.
+        Shared-memory block name.
     data_shape:
         Shape of the published record array.
     data_dtype:
         Dtype string of the published record array.
     index_offset:
         Byte offset of the concatenated shard indices inside the
-        shared block (unused for the mmap backend).
+        shared block.
     shard_offsets:
         ``n_shards + 1`` cumulative offsets into the concatenated
         index vector; shard ``i`` owns ``indices[off[i]:off[i + 1]]``.
     """
 
-    backend: str
     token: str
     data_shape: tuple
     data_dtype: str
@@ -90,12 +73,6 @@ class PayloadDescriptor(NamedTuple):
 #: Payloads published by this process and not yet closed.
 _LIVE_PAYLOADS: dict = {}
 
-#: Mmap payload directories whose removal failed at close time (a
-#: worker still held the mapping); removal is retried at the next
-#: publish and at interpreter exit rather than silently leaking the
-#: raw record data on disk.
-_STALE_MMAP_DIRS: set = set()
-
 
 def _publish_bytes_gauge() -> None:
     """Set ``parallel.shm.bytes`` to the total of live payload sizes."""
@@ -105,33 +82,10 @@ def _publish_bytes_gauge() -> None:
     )
 
 
-def _remove_mmap_dir(directory: str) -> None:
-    """Remove one payload directory, remembering it for retry on failure."""
-    shutil.rmtree(directory, ignore_errors=True)
-    if os.path.isdir(directory):
-        _logger.warning(
-            "payload directory %s could not be removed (a worker may "
-            "still hold the mapping); removal will be retried at the "
-            "next publish and at interpreter exit", directory,
-        )
-        # repro-lint: disable-next=DET-003 -- coordinator-only retry registry: reached from publish/close/atexit, never from worker-side attach code
-        _STALE_MMAP_DIRS.add(directory)
-    else:
-        # repro-lint: disable-next=DET-003 -- coordinator-only retry registry: reached from publish/close/atexit, never from worker-side attach code
-        _STALE_MMAP_DIRS.discard(directory)
-
-
-def _sweep_stale_mmap_dirs() -> None:
-    """Retry removal of payload directories that outlived their close."""
-    for directory in list(_STALE_MMAP_DIRS):
-        _remove_mmap_dir(directory)
-
-
 def _unlink_live_payloads() -> None:
     """Interpreter-exit backstop: unlink every still-open payload."""
     for payload in list(_LIVE_PAYLOADS.values()):
         payload.close()
-    _sweep_stale_mmap_dirs()
 
 
 atexit.register(_unlink_live_payloads)
@@ -181,10 +135,9 @@ class ShardPayload:
     """
 
     def __init__(self, descriptor: PayloadDescriptor, segment,
-                 mmap_dir, nbytes: int):
+                 nbytes: int):
         self.descriptor = descriptor
         self._segment = segment
-        self._mmap_dir = mmap_dir
         self.nbytes = int(nbytes)
         self._closed = False
         _LIVE_PAYLOADS[id(self)] = self
@@ -202,9 +155,6 @@ class ShardPayload:
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
             self._segment = None
-        if self._mmap_dir is not None:
-            _remove_mmap_dir(self._mmap_dir)
-            self._mmap_dir = None
         _publish_bytes_gauge()
 
     @property
@@ -224,44 +174,7 @@ class ShardPayload:
     def __repr__(self) -> str:
         """Terse state for logs."""
         state = "closed" if self._closed else f"{self.nbytes}B"
-        return (f"ShardPayload({self.descriptor.backend}, "
-                f"{self.descriptor.token!r}, {state})")
-
-
-def _publish_shm(data: np.ndarray, indices: np.ndarray,
-                 shard_offsets: tuple) -> ShardPayload:
-    """Publish into one named shared-memory block."""
-    index_offset = -(-data.nbytes // 8) * 8
-    total = index_offset + indices.nbytes
-    segment = _shared_memory.SharedMemory(create=True, size=max(total, 1))
-    view = np.ndarray(data.shape, dtype=data.dtype, buffer=segment.buf)
-    view[...] = data
-    index_view = np.ndarray(indices.shape, dtype=indices.dtype,
-                            buffer=segment.buf, offset=index_offset)
-    index_view[...] = indices
-    descriptor = PayloadDescriptor(
-        backend="shm", token=segment.name,
-        data_shape=tuple(data.shape), data_dtype=str(data.dtype),
-        index_offset=index_offset, shard_offsets=shard_offsets,
-    )
-    return ShardPayload(descriptor, segment, None, total)
-
-
-def _publish_mmap(data: np.ndarray, indices: np.ndarray,
-                  shard_offsets: tuple) -> ShardPayload:
-    """Publish as memory-mapped ``.npy`` files in a temp directory."""
-    directory = tempfile.mkdtemp(prefix="repro-payload-")
-    # repro-lint: disable-next=PRIV-003 -- in-flight worker hand-off, not anonymized output: the run's own records move to its own workers and the files are unlinked when the run ends
-    nbytes = write_array_mmap(os.path.join(directory, "data.npy"), data)
-    nbytes += write_array_mmap(
-        os.path.join(directory, "indices.npy"), indices
-    )
-    descriptor = PayloadDescriptor(
-        backend="mmap", token=directory,
-        data_shape=tuple(data.shape), data_dtype=str(data.dtype),
-        index_offset=0, shard_offsets=shard_offsets,
-    )
-    return ShardPayload(descriptor, None, directory, nbytes)
+        return f"ShardPayload({self.descriptor.token!r}, {state})"
 
 
 def publish_payload(data: np.ndarray, shards) -> ShardPayload:
@@ -280,8 +193,15 @@ def publish_payload(data: np.ndarray, shards) -> ShardPayload:
     ShardPayload
         Owned payload whose :attr:`~ShardPayload.descriptor` crosses
         the worker pipe instead of the records.
+
+    Raises
+    ------
+    OSError
+        If POSIX shared memory is unavailable or the block cannot be
+        created.
     """
-    _sweep_stale_mmap_dirs()
+    if _shared_memory is None:
+        raise OSError("POSIX shared memory is unavailable")
     data = np.ascontiguousarray(data)
     indices = (
         np.concatenate(shards) if shards
@@ -290,15 +210,20 @@ def publish_payload(data: np.ndarray, shards) -> ShardPayload:
     offsets = [0]
     for shard in shards:
         offsets.append(offsets[-1] + int(shard.shape[0]))
-    shard_offsets = tuple(offsets)
-    payload = None
-    if _shared_memory is not None:
-        try:
-            payload = _publish_shm(data, indices, shard_offsets)
-        except OSError:
-            payload = None
-    if payload is None:
-        payload = _publish_mmap(data, indices, shard_offsets)
+    index_offset = -(-data.nbytes // 8) * 8
+    total = index_offset + indices.nbytes
+    segment = _shared_memory.SharedMemory(create=True, size=max(total, 1))
+    view = np.ndarray(data.shape, dtype=data.dtype, buffer=segment.buf)
+    view[...] = data
+    index_view = np.ndarray(indices.shape, dtype=indices.dtype,
+                            buffer=segment.buf, offset=index_offset)
+    index_view[...] = indices
+    descriptor = PayloadDescriptor(
+        token=segment.name, data_shape=tuple(data.shape),
+        data_dtype=str(data.dtype), index_offset=index_offset,
+        shard_offsets=tuple(offsets),
+    )
+    payload = ShardPayload(descriptor, segment, total)
     _publish_bytes_gauge()
     return payload
 
@@ -310,24 +235,16 @@ class PayloadAttachment:
         self.descriptor = descriptor
         self.attach_seconds = 0.0
         start = time.perf_counter()
-        if descriptor.backend == "shm":
-            self._segment = _attach_untracked(descriptor.token)
-            shape = tuple(descriptor.data_shape)
-            dtype = np.dtype(descriptor.data_dtype)
-            view = np.ndarray(shape, dtype=dtype, buffer=self._segment.buf)
-            n_indices = descriptor.shard_offsets[-1]
-            self._indices = np.ndarray(
-                (n_indices,), dtype=np.int64,
-                buffer=self._segment.buf, offset=descriptor.index_offset,
-            )
-        else:
-            self._segment = None
-            view = open_array_mmap(
-                os.path.join(descriptor.token, "data.npy")
-            )
-            self._indices = open_array_mmap(
-                os.path.join(descriptor.token, "indices.npy")
-            )
+        self._segment = _attach_untracked(descriptor.token)
+        view = np.ndarray(
+            tuple(descriptor.data_shape),
+            dtype=np.dtype(descriptor.data_dtype),
+            buffer=self._segment.buf,
+        )
+        self._indices = np.ndarray(
+            (descriptor.shard_offsets[-1],), dtype=np.int64,
+            buffer=self._segment.buf, offset=descriptor.index_offset,
+        )
         view.flags.writeable = False
         self._view = view
         self.attach_seconds = time.perf_counter() - start

@@ -128,13 +128,6 @@ class ShardedCondensationService:
         Integer seed; per-shard RNG streams are spawned from it so
         shard behavior is independent of traffic interleaving across
         the other shards.
-    worker_pool:
-        Optional :class:`repro.parallel.WorkerPool` the service holds
-        for the process's lifetime — keeping the warm pool alive next
-        to the serving plane lets co-located batch ``condense_sharded``
-        jobs (re-condensations, offline re-anonymization) skip worker
-        spawn entirely.  The service owns the pool: :meth:`close`
-        closes it.  ``None`` (default) holds no pool.
 
     Examples
     --------
@@ -154,8 +147,7 @@ class ShardedCondensationService:
                  strategy="random", sampler="uniform",
                  bootstrap_size: int | None = None,
                  checkpoint_every: int = 256, fsync_every: int = 1,
-                 random_state: int = 0,
-                 worker_pool=None):
+                 random_state: int = 0):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         if k < 1:
@@ -177,7 +169,6 @@ class ShardedCondensationService:
         self.checkpoint_every = int(checkpoint_every)
         self.fsync_every = int(fsync_every)
         self.random_state = random_state
-        self.worker_pool = worker_pool
         self._lock = threading.RLock()
         self._shard_locks = [
             threading.RLock() for _ in range(self.n_shards)
@@ -577,10 +568,6 @@ class ShardedCondensationService:
                 "position": self.position,
                 "n_groups": self.n_groups,
                 "recovered_shards": self.recovered_shards,
-                "pool_workers": (
-                    self.worker_pool.alive_count()
-                    if self.worker_pool is not None else 0
-                ),
             }
 
     # ------------------------------------------------------------------
@@ -674,8 +661,6 @@ class ShardedCondensationService:
                     # repro-lint: disable-next=THR-003 -- final checkpoint blocks only this shard while draining
                     shard.checkpoint()
                 shard.close()
-        if self.worker_pool is not None:
-            self.worker_pool.close()
 
     @property
     def closed(self) -> bool:

@@ -53,22 +53,18 @@ class TestCleanEngine:
         assert _det_findings(contexts, rule_id) == []
 
     def test_real_tree_raw_det003_findings_are_only_suppressed_sites(self):
-        # check_project sees raw findings; the runner filters the six
+        # check_project sees raw findings; the runner filters the four
         # justified DET-003 suppressions — the shared-pool registry in
         # pool.py (coordinator-only; the worker-reachability is a
-        # call-graph over-approximation through create_condensed_groups),
-        # the worker-local attachment cache in shm.py (pure memoization
-        # of a read-only view), and the stale mmap-dir retry registry in
-        # shm.py (coordinator-only: publish/close/atexit paths).
-        # Nothing else may surface.
+        # call-graph over-approximation through create_condensed_groups)
+        # and the worker-local attachment cache in shm.py (pure
+        # memoization of a read-only view).  Nothing else may surface.
         contexts = _contexts_for_tree(REPO_ROOT / "src" / "repro")
         sites = sorted(
             Path(finding.path).name
             for finding in _det_findings(contexts, "DET-003")
         )
-        assert sites == [
-            "pool.py", "pool.py", "shm.py", "shm.py", "shm.py", "shm.py",
-        ]
+        assert sites == ["pool.py", "pool.py", "shm.py", "shm.py"]
 
 
 class TestInjectedCanaries:

@@ -127,6 +127,8 @@ class TestCallGraph:
             for path in sorted(root.rglob("*.py"))
         ]
         index = build_index(contexts)
-        assert "repro.parallel.engine._condense_shard" in index.worker_roots()
+        assert "repro.parallel.engine._condense_shard_payload" \
+            in index.worker_roots()
         reachable = index.reachable_from(index.worker_roots())
+        assert "repro.parallel.engine._condense_shard" in reachable
         assert "repro.core.condensation.create_condensed_groups" in reachable

@@ -170,12 +170,9 @@ class TestRealTree:
             str(path): path.read_text(encoding="utf-8")
             for path in sorted(root.rglob("*.py"))
         }
-        # check_project sees raw findings; the runner filters the one
-        # justified PRIV-003 suppression — the mmap-fallback payload
-        # spill in parallel/shm.py, an in-flight worker hand-off whose
-        # files are unlinked when the run ends, not anonymized output.
-        # Nothing else may surface.
+        # check_project sees raw findings, before any suppression: no
+        # path writes raw records to a file, so none may surface.
         sites = sorted(
             Path(finding.path).name for finding in _priv003(modules)
         )
-        assert sites == ["shm.py"]
+        assert sites == []

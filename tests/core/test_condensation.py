@@ -119,6 +119,26 @@ class TestValidationAndDeterminism:
         with pytest.raises(ValueError):
             create_condensed_groups(gaussian_data, k=0)
 
+    @pytest.mark.parametrize("k", [2.5, 8.0, True, "8"])
+    def test_k_must_be_an_integer(self, gaussian_data, k):
+        # A float is not truncated and a bool is not a group size.
+        with pytest.raises(ValueError, match="k must be an integer"):
+            create_condensed_groups(gaussian_data, k=k)
+
+    @pytest.mark.parametrize("option", ["n_shards", "n_workers"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_shard_counts_must_be_integers(self, gaussian_data, option,
+                                           value):
+        with pytest.raises(ValueError,
+                           match=f"{option} must be an integer"):
+            create_condensed_groups(gaussian_data, k=8, **{option: value})
+
+    def test_numpy_integer_k_accepted(self, gaussian_data):
+        model = create_condensed_groups(
+            gaussian_data, k=np.int64(8), random_state=0
+        )
+        assert type(model.k) is int and model.k == 8
+
     def test_non_2d_rejected(self):
         with pytest.raises(ValueError):
             create_condensed_groups(np.zeros(5), k=2)

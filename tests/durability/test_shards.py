@@ -1,13 +1,68 @@
-"""Shard checkpoints and the retrying parallel execution engine."""
+"""Shard checkpoints and the retrying parallel execution engine.
+
+Retries run on a real process pool.  Faults are injected through
+picklable strategies that travel to the workers with each task; they
+share state across processes through marker files, so a failure budget
+is spent exactly once however the pool schedules the shards.
+"""
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
 import repro.parallel.engine as engine
-from repro.core.strategies import resolve_strategy
+from repro import telemetry
+from repro.core.strategies import RandomSeedStrategy, resolve_strategy
 from repro.durability import ShardCheckpointStore, shard_fingerprint
 from repro.linalg.rng import spawn_seed_sequences
-from repro.parallel import condense_sharded
+from repro.parallel import WorkerPool, condense_sharded
+
+
+class TransientStrategy(RandomSeedStrategy):
+    """The paper's strategy, whose first ``failures`` calls fail.
+
+    Each failure claims one marker file in ``marker_dir``; once every
+    marker is claimed, calls behave exactly like ``"random"``.
+    """
+
+    def __init__(self, marker_dir, failures):
+        self.marker_dir = str(marker_dir)
+        self.failures = failures
+
+    def plan(self, data, k, rng):
+        for attempt in range(self.failures):
+            path = os.path.join(self.marker_dir, f"failure-{attempt}")
+            try:
+                os.close(os.open(path, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                continue
+            raise OSError("transient worker fault")
+        return super().plan(data, k, rng)
+
+
+class WorkerOnlyFailure(RandomSeedStrategy):
+    """Fails in every process but the coordinator ``home_pid``."""
+
+    def __init__(self, home_pid):
+        self.home_pid = home_pid
+
+    def plan(self, data, k, rng):
+        if os.getpid() != self.home_pid:
+            raise OSError("worker always dies")
+        return super().plan(data, k, rng)
+
+
+class BrokenInputStrategy(RandomSeedStrategy):
+    """Raises ``ValueError`` on every call, leaving one file per call."""
+
+    def __init__(self, marker_dir):
+        self.marker_dir = str(marker_dir)
+
+    def plan(self, data, k, rng):
+        os.close(tempfile.mkstemp(dir=self.marker_dir)[0])
+        raise ValueError("k larger than shard")
 
 
 def fingerprint(model):
@@ -33,15 +88,15 @@ def make_tasks(data, k=8, n_shards=4, seed=5):
     ]
 
 
-def make_run(data, k=8, n_shards=4, seed=5):
+def make_run(data, k=8, n_shards=4, seed=5, strategy="random"):
     """Shard index arrays plus per-shard task descriptors.
 
     This is the ``(shards, tasks)`` shape ``_run_shard_tasks`` takes:
     tasks carry only ``(k, strategy, sequence)``; the records travel
-    separately (zero-copy payloads on the process path, direct slices
-    on the thread path).
+    separately (a shared-memory payload on the process path, direct
+    slices on the serial path).
     """
-    strategy = resolve_strategy("random")
+    strategy = resolve_strategy(strategy)
     sequences = spawn_seed_sequences(seed, n_shards)
     size = data.shape[0] // n_shards
     shards = [
@@ -53,16 +108,17 @@ def make_run(data, k=8, n_shards=4, seed=5):
 
 
 def run_tasks(data, shards, tasks, **kwargs):
-    """Drive ``_run_shard_tasks`` on the thread backend, collecting
-    delivered shard results keyed by index."""
+    """Drive ``_run_shard_tasks`` on a fresh 4-worker process pool,
+    collecting delivered shard results keyed by index."""
     results = {}
 
     def record(index, result, checkpointed=False):
         results[index] = result
 
-    outcome = engine._run_shard_tasks(
-        data, shards, tasks, 4, "thread", record, **kwargs
-    )
+    with WorkerPool(4) as pool:
+        outcome = engine._run_shard_tasks(
+            data, shards, tasks, 4, record, pool=pool, **kwargs
+        )
     return results, outcome
 
 
@@ -134,7 +190,7 @@ class TestShardStore:
 
 class TestCheckpointedRuns:
     def test_resume_is_bit_identical(self, tmp_path, data):
-        kwargs = dict(k=8, random_state=17, n_shards=4, backend="thread")
+        kwargs = dict(k=8, random_state=17, n_shards=4, n_workers=2)
         first = condense_sharded(data, checkpoint_dir=tmp_path, **kwargs)
         resumed = condense_sharded(data, checkpoint_dir=tmp_path, **kwargs)
         plain = condense_sharded(data, **kwargs)
@@ -144,7 +200,7 @@ class TestCheckpointedRuns:
 
     def test_partial_checkpoints_complete_the_run(self, tmp_path, data):
         """A crash after some shards: the rerun computes only the rest."""
-        kwargs = dict(k=8, random_state=17, n_shards=4, backend="thread")
+        kwargs = dict(k=8, random_state=17, n_shards=4, n_workers=2)
         reference = condense_sharded(data, checkpoint_dir=tmp_path,
                                      **kwargs)
         # Simulate a crash that persisted only half the shards.
@@ -171,38 +227,32 @@ class TestCheckpointedRuns:
 
 
 class TestRetries:
-    def test_transient_failures_are_retried(self, data, monkeypatch):
-        shards, tasks = make_run(data)
-        original = engine._condense_shard
-        calls = {"n": 0}
-
-        def flaky(task):
-            calls["n"] += 1
-            if calls["n"] in (2, 3):
-                raise OSError("transient worker death")
-            return original(task)
-
-        monkeypatch.setattr(engine, "_condense_shard", flaky)
-        monkeypatch.setattr(engine, "RETRY_BASE_DELAY", 0.001)
-        results, (effective, degraded) = run_tasks(
-            data, shards, tasks, max_retries=2
+    def test_transient_failures_are_retried(self, data, tmp_path,
+                                            monkeypatch):
+        shards, tasks = make_run(
+            data, strategy=TransientStrategy(tmp_path, failures=2)
         )
+        monkeypatch.setattr(engine, "RETRY_BASE_DELAY", 0.001)
+        pipeline = telemetry.configure()
+        try:
+            results, (effective, degraded) = run_tasks(
+                data, shards, tasks, max_retries=2
+            )
+            retries = pipeline.registry.counter(
+                "parallel.retries"
+            ).value()
+        finally:
+            telemetry.disable()
         assert sorted(results) == list(range(len(shards)))
         assert all(result is not None for result in results.values())
-        assert (effective, degraded) == ("thread", False)
+        assert (effective, degraded) == ("process", False)
+        assert retries == 2
 
     def test_persistent_failure_falls_back_to_serial(self, data,
                                                      monkeypatch):
-        shards, tasks = make_run(data)
-        original = engine._condense_shard
-        from threading import current_thread, main_thread
-
-        def fails_in_workers(task):
-            if current_thread() is not main_thread():
-                raise OSError("worker always dies")
-            return original(task)
-
-        monkeypatch.setattr(engine, "_condense_shard", fails_in_workers)
+        shards, tasks = make_run(
+            data, strategy=WorkerOnlyFailure(os.getpid())
+        )
         monkeypatch.setattr(engine, "RETRY_BASE_DELAY", 0.001)
         with pytest.warns(engine.ParallelDegradationWarning):
             results, (effective, degraded) = run_tasks(
@@ -212,25 +262,21 @@ class TestRetries:
         assert all(result is not None for result in results.values())
         assert (effective, degraded) == ("serial", True)
 
-    def test_value_error_is_fatal_not_retried(self, data, monkeypatch):
-        shards, tasks = make_run(data)
-        calls = {"n": 0}
-
-        def broken_input(task):
-            calls["n"] += 1
-            raise ValueError("k larger than shard")
-
-        monkeypatch.setattr(engine, "_condense_shard", broken_input)
+    def test_value_error_is_fatal_not_retried(self, data, tmp_path):
+        shards, tasks = make_run(
+            data, strategy=BrokenInputStrategy(tmp_path)
+        )
         with pytest.raises(ValueError, match="k larger"):
             run_tasks(data, shards, tasks, max_retries=5)
-        assert calls["n"] <= len(shards)
+        assert 1 <= len(list(tmp_path.iterdir())) <= len(shards)
 
     def test_negative_max_retries_rejected(self, data):
         with pytest.raises(ValueError, match="max_retries"):
             condense_sharded(data, 8, random_state=1, n_shards=2,
                              max_retries=-1)
 
-    def test_retry_result_matches_clean_run(self, data, monkeypatch):
+    def test_retry_result_matches_clean_run(self, data, tmp_path,
+                                            monkeypatch):
         """A retried run produces the same model as an untroubled one.
 
         ``n_workers`` is pinned above 1: the single-worker path runs
@@ -238,18 +284,13 @@ class TestRetries:
         fallback), so only pool execution exercises retries.
         """
         clean = condense_sharded(data, 8, random_state=17, n_shards=4,
-                                 n_workers=4, backend="thread")
-        original = engine._condense_shard
-        calls = {"n": 0}
-
-        def flaky(task):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise OSError("transient")
-            return original(task)
-
-        monkeypatch.setattr(engine, "_condense_shard", flaky)
+                                 n_workers=4)
         monkeypatch.setattr(engine, "RETRY_BASE_DELAY", 0.001)
-        retried = condense_sharded(data, 8, random_state=17, n_shards=4,
-                                   n_workers=4, backend="thread")
+        with WorkerPool(4) as pool:
+            retried = condense_sharded(
+                data, 8, strategy=TransientStrategy(tmp_path, failures=1),
+                random_state=17, n_shards=4, n_workers=4, pool=pool,
+            )
+        assert retried.metadata["parallel"]["effective_backend"] \
+            == "process"
         assert fingerprint(retried) == fingerprint(clean)

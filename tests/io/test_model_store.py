@@ -243,7 +243,7 @@ _BYTE_CASES = [
      True),
     ("sharded-metadata",
      lambda data: condense_sharded(data, k=10, n_shards=3, n_workers=1,
-                                   backend="serial", random_state=0),
+                                   random_state=0),
      True),
     ("one-group", _one_group, False),
     ("d-1",
@@ -279,8 +279,7 @@ class TestStreamedBytes:
     def test_sharded_metadata_is_nested(self, tmp_path, gaussian_data):
         # Guards the sharded case above: it must carry a nested dict.
         model = condense_sharded(gaussian_data, k=10, n_shards=3,
-                                 n_workers=1, backend="serial",
-                                 random_state=0)
+                                 n_workers=1, random_state=0)
         path = tmp_path / "model.json"
         save_model(path, model, include_metadata=True)
         payload = json.loads(path.read_text())

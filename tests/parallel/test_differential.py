@@ -10,7 +10,7 @@ the same data and compares:
   identical** to serial, for every worker count.
 * For any shard count, the result depends only on
   ``(data, k, strategy, random_state, n_shards)`` — never on the
-  worker count or executor backend.
+  worker count, pooled or serial.
 * First- and second-order mass is conserved exactly, the privacy
   invariant ``achieved_k >= k`` always holds, and group sizes stay in
   the serial algorithm's band whenever no boundary repair was needed.
@@ -70,7 +70,7 @@ class TestSingleShardIdentity:
         )
         sharded = condense_sharded(
             data, k, strategy="mdav", random_state=seed,
-            n_shards=1, backend="serial",
+            n_shards=1, n_workers=1,
         )
         assert fingerprint(sharded) == fingerprint(serial)
 
@@ -85,32 +85,36 @@ class TestWorkerCountInvariance:
     def test_result_is_independent_of_workers_and_backend(
         self, seed, k, n_shards, strategy
     ):
+        # Process workers on the shared warm pool, which spawns once
+        # and serves every example.
         data = make_data(seed, 60 + (seed % 40), 3)
         reference = condense_sharded(
             data, k, strategy=strategy, random_state=seed,
-            n_shards=n_shards, n_workers=1, backend="serial",
+            n_shards=n_shards, n_workers=1,
         )
-        for n_workers, backend in ((2, "thread"), (3, "thread"),
-                                   (1, "serial")):
+        for n_workers in (2, 3):
             other = condense_sharded(
                 data, k, strategy=strategy, random_state=seed,
-                n_shards=n_shards, n_workers=n_workers, backend=backend,
+                n_shards=n_shards, n_workers=n_workers,
             )
+            assert other.metadata["parallel"]["effective_backend"] \
+                == "process"
             assert fingerprint(other) == fingerprint(reference)
 
     def test_process_pool_matches_serial_backend(self):
-        # The real process pool is exercised once (spawning workers is
-        # slow); Hypothesis-driven invariance runs on threads, which by
-        # construction execute the identical per-shard code.
         data = make_data(11, 200, 4)
         reference = condense_sharded(
             data, 8, strategy="random", random_state=42,
-            n_shards=4, n_workers=1, backend="serial",
+            n_shards=4, n_workers=1,
         )
         pooled = condense_sharded(
             data, 8, strategy="random", random_state=42,
-            n_shards=4, n_workers=2, backend="process",
+            n_shards=4, n_workers=2,
         )
+        assert reference.metadata["parallel"]["effective_backend"] \
+            == "serial"
+        assert pooled.metadata["parallel"]["effective_backend"] \
+            == "process"
         assert fingerprint(pooled) == fingerprint(reference)
         assert membership_sets(pooled) == membership_sets(reference)
 
@@ -125,7 +129,7 @@ class TestStatisticalEquivalence:
         data = make_data(seed, 30 + (seed % 70), 4)
         model = condense_sharded(
             data, k, strategy="mdav", random_state=seed,
-            n_shards=n_shards, backend="serial",
+            n_shards=n_shards, n_workers=1,
         )
         scale = np.abs(data).sum() + 1.0
         total_first = sum(group.first_order for group in model.groups)
@@ -150,7 +154,7 @@ class TestStatisticalEquivalence:
         data = make_data(seed, n, 3)
         model = condense_sharded(
             data, k, strategy="mdav", random_state=seed,
-            n_shards=n_shards, backend="serial",
+            n_shards=n_shards, n_workers=1,
         )
         sizes = model.group_sizes
         assert privacy_report(model).achieved_k >= k
@@ -174,7 +178,7 @@ class TestStatisticalEquivalence:
         data = make_data(seed, n, 2)
         model = condense_sharded(
             data, k, strategy="mdav", random_state=seed,
-            n_shards=n_shards, backend="serial",
+            n_shards=n_shards, n_workers=1,
         )
         memberships = model.metadata["memberships"]
         combined = np.concatenate(memberships)
@@ -194,7 +198,7 @@ class TestStatisticalEquivalence:
         data = make_data(seed, n, 3)
         model = condense_sharded(
             data, k, strategy="mdav", random_state=seed,
-            n_shards=n_shards, backend="serial", repair="merge_resplit",
+            n_shards=n_shards, n_workers=1, repair="merge_resplit",
         )
         assert privacy_report(model).achieved_k >= k
         assert model.total_count == n
@@ -225,15 +229,37 @@ class TestDownstreamUtility:
 
 class TestValidation:
     def test_rejects_bad_backend_and_repair(self):
+        # The worker count is the only execution setting; there is no
+        # backend to choose.
         data = make_data(0, 20, 2)
-        with pytest.raises(ValueError, match="backend"):
-            condense_sharded(data, 2, backend="gpu")
+        with pytest.raises(TypeError, match="backend"):
+            condense_sharded(data, 2, backend="serial")
         with pytest.raises(ValueError, match="repair"):
             condense_sharded(data, 2, repair="drop")
         with pytest.raises(ValueError, match="n_shards"):
             condense_sharded(data, 2, n_shards=0)
         with pytest.raises(ValueError, match="n_workers"):
             condense_sharded(data, 2, n_workers=0)
+
+    @pytest.mark.parametrize("option, value", [
+        ("k", 2.5), ("k", True), ("n_shards", 2.5), ("n_shards", True),
+        ("n_workers", 2.5), ("n_workers", True),
+    ])
+    def test_rejects_non_integer_counts(self, option, value):
+        options = dict(k=2, n_shards=2, n_workers=1)
+        options[option] = value
+        with pytest.raises(ValueError,
+                           match=f"{option} must be an integer"):
+            condense_sharded(make_data(0, 20, 2), **options)
+
+    def test_accepts_numpy_integer_counts(self):
+        model = condense_sharded(
+            make_data(0, 20, 2), np.int64(2), n_shards=np.int32(2),
+            n_workers=np.int64(1),
+        )
+        recorded = model.metadata["parallel"]
+        assert (model.k, recorded["n_shards"], recorded["n_workers"]) \
+            == (2, 2, 1)
 
     def test_rejects_non_finite_and_undersized_data(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -245,11 +271,11 @@ class TestValidation:
         data = make_data(5, 50, 3)
         model = condense_sharded(
             data, 5, strategy="mdav", random_state=1,
-            n_shards=3, n_workers=2, backend="thread",
+            n_shards=3, n_workers=2,
         )
         recorded = model.metadata["parallel"]
         assert recorded["n_shards"] == 3
         assert recorded["n_workers"] == 2
-        assert recorded["backend"] == "thread"
+        assert recorded["effective_backend"] == "process"
         assert recorded["repair"] == "merge"
         assert model.metadata["strategy"] == "mdav"

@@ -206,7 +206,7 @@ class TestRespawn:
         data = rng.normal(size=(600, 4))
         baseline = condense_sharded(
             data, k=10, n_shards=4, n_workers=2,
-            strategy="mdav", random_state=3, backend="process",
+            strategy="mdav", random_state=3,
         )
         with WorkerPool(2) as pool:
             # Warm the pool, then murder one worker right before the run.
@@ -215,7 +215,7 @@ class TestRespawn:
             self._kill_one_worker(pool)
             disturbed = condense_sharded(
                 data, k=10, n_shards=4, n_workers=2,
-                strategy="mdav", random_state=3, backend="process",
+                strategy="mdav", random_state=3,
                 pool=pool,
             )
         for ours, theirs in zip(disturbed.groups, baseline.groups):
@@ -270,7 +270,7 @@ class TestStaleRunIsolation:
         data = rng.normal(size=(400, 3))
         baseline = condense_sharded(
             data, k=8, n_shards=4, n_workers=2,
-            strategy="mdav", random_state=5, backend="process",
+            strategy="mdav", random_state=5,
         )
         pipeline = telemetry.configure()
         try:
@@ -291,7 +291,7 @@ class TestStaleRunIsolation:
                     models.append(condense_sharded(
                         data, k=8, n_shards=4, n_workers=2,
                         strategy="mdav", random_state=5,
-                        backend="process", pool=pool,
+                        pool=pool,
                     ))
             assert pipeline.registry.counter(
                 "parallel.stale_results"
@@ -310,21 +310,21 @@ class TestStaleRunIsolation:
         poisoned[:5] = _POISON
         baseline = condense_sharded(
             data, k=8, n_shards=4, n_workers=2,
-            strategy="mdav", random_state=5, backend="process",
+            strategy="mdav", random_state=5,
         )
         with WorkerPool(2) as pool:
             with pytest.raises(ValueError, match="poisoned"):
                 condense_sharded(
                     poisoned, k=8, n_shards=4, n_workers=2,
                     strategy=_PoisonedStrategy(), random_state=5,
-                    backend="process", pool=pool,
+                    pool=pool,
                 )
             # The aborted run's shards are still in flight (or queued
             # against its now-closed payload); the next run on the
             # same pool must produce the undisturbed model anyway.
             model = condense_sharded(
                 data, k=8, n_shards=4, n_workers=2,
-                strategy="mdav", random_state=5, backend="process",
+                strategy="mdav", random_state=5,
                 pool=pool,
             )
         assert model.metadata["parallel"]["effective_backend"] \

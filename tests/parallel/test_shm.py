@@ -1,15 +1,16 @@
-"""Zero-copy payload lifecycle: round-trips, fallback, and no leaks.
+"""Zero-copy payload lifecycle: round-trips, no leaks, no shm → serial.
 
 The RES-001 promise for shared memory is absolute: a published payload
 is unlinked on success, on failure, and at interpreter exit — nothing
 this test file runs may leave a segment behind in ``/dev/shm``.  The
 interpreter-exit case necessarily runs in a subprocess (the ``atexit``
-hook only fires when the publisher dies), and the mmap fallback is
-forced by monkeypatching shared memory away.
+hook only fires when the publisher dies).  Where shared memory is
+unavailable, publishing fails rather than spilling raw records to
+files; ``test_degradation.py`` checks that the engine then runs
+serially.
 """
 
 import glob
-import logging
 import os
 import subprocess
 import sys
@@ -109,7 +110,7 @@ class TestUnlinkDiscipline:
             "payload = publish_payload(\n"
             "    np.zeros((64, 8)), [np.arange(64)]\n"
             ")\n"
-            "print(payload.descriptor.backend)\n"
+            "print(payload.descriptor.token)\n"
         )
         before = shm_segments()
         env = dict(os.environ)
@@ -132,7 +133,7 @@ class TestUnlinkDiscipline:
         before = shm_segments()
         condense_sharded(
             data, k=8, n_shards=2, n_workers=2,
-            strategy="mdav", random_state=0, backend="process",
+            strategy="mdav", random_state=0,
         )
         assert shm_segments() == before
 
@@ -157,90 +158,10 @@ class TestBytesGauge:
             telemetry.disable()
 
 
-class TestStaleMmapDirRetry:
-    def test_failed_removal_warns_and_retries_on_next_publish(
-        self, monkeypatch, caplog
-    ):
+class TestSharedMemoryUnavailable:
+    def test_publish_raises_without_shared_memory(self, monkeypatch):
         monkeypatch.setattr(shm, "_shared_memory", None)
-        payload = publish_payload(np.zeros((8, 2)), [np.arange(8)])
-        directory = payload.descriptor.token
-        real_rmtree = shm.shutil.rmtree
-        # Simulate a worker still holding the mapping: removal no-ops.
-        monkeypatch.setattr(shm.shutil, "rmtree",
-                            lambda *_args, **_kwargs: None)
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            payload.close()
-        assert directory in shm._STALE_MMAP_DIRS
-        assert os.path.isdir(directory)
-        assert any(
-            "could not be removed" in record.getMessage()
-            for record in caplog.records
-        )
-        monkeypatch.setattr(shm.shutil, "rmtree", real_rmtree)
-        follow_up = publish_payload(np.zeros((4, 2)), [np.arange(4)])
-        try:
-            assert not os.path.exists(directory)
-            assert directory not in shm._STALE_MMAP_DIRS
-        finally:
-            follow_up.close()
-
-
-class TestMmapFallback:
-    def test_forced_mmap_round_trips(self, monkeypatch, payload_fixture):
-        data, shards, _payload = payload_fixture
-        monkeypatch.setattr(shm, "_shared_memory", None)
-        fallback = publish_payload(data, shards)
-        try:
-            assert fallback.descriptor.backend == "mmap"
-            assert os.path.isdir(fallback.descriptor.token)
-            attachment = attach_payload(fallback.descriptor)
-            for index, shard in enumerate(shards):
-                np.testing.assert_array_equal(
-                    attachment.shard_records(index), data[shard]
-                )
-        finally:
-            attachment.detach()
-            token = fallback.descriptor.token
-            fallback.close()
-            assert not os.path.exists(token)
-
-    def test_oserror_publish_falls_back_to_mmap(self, monkeypatch):
-        def refuse(*_args, **_kwargs):
-            raise OSError("no /dev/shm")
-
-        monkeypatch.setattr(shm, "_publish_shm", refuse)
-        payload = publish_payload(np.zeros((8, 2)), [np.arange(8)])
-        try:
-            assert payload.descriptor.backend == "mmap"
-        finally:
-            payload.close()
-
-    def test_engine_runs_on_mmap_backend(self, monkeypatch):
-        """The whole sharded run works with shared memory gone —
-        subprocess so the forked workers inherit the monkeypatch."""
-        script = (
-            "import numpy as np\n"
-            "from repro.parallel import shm\n"
-            "shm._shared_memory = None\n"
-            "from repro.parallel import condense_sharded\n"
-            "rng = np.random.default_rng(2)\n"
-            "data = rng.normal(size=(300, 3))\n"
-            "model = condense_sharded(\n"
-            "    data, k=8, n_shards=2, n_workers=2,\n"
-            "    strategy='mdav', random_state=0, backend='process',\n"
-            ")\n"
-            "assert model.metadata['parallel']['effective_backend'] \\\n"
-            "    == 'process'\n"
-            "print('OK')\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.getcwd(), "src"),
-             env.get("PYTHONPATH", "")]
-        )
-        completed = subprocess.run(
-            [sys.executable, "-c", script], env=env,
-            capture_output=True, text=True, timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert "OK" in completed.stdout
+        live = dict(shm._LIVE_PAYLOADS)
+        with pytest.raises(OSError, match="shared memory"):
+            publish_payload(np.zeros((8, 2)), [np.arange(8)])
+        assert shm._LIVE_PAYLOADS == live
