@@ -14,6 +14,12 @@ The ratchet: the batch path must ingest the 100k stream at least
 higher).  A regression in the blocked distance computation, the
 re-dispatch loop, or the centroid index shows up here before it shows
 up for users.
+
+A durable series streams the 10k records through a
+``DynamicCondenser(wal_dir=..., batch_size=256)`` and records the WAL
+bytes and the entry-encoding time per record.  Its ratchet: at most
+**800** WAL bytes per record, a figure fixed by the seed, so a change
+to the journaled group encoding shows up exactly.
 """
 
 import json
@@ -22,7 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.condenser import DynamicCondenser
 from repro.core.dynamic import DynamicGroupMaintainer
+from repro.durability import wal
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / (
     "BENCH_ingest.json"
@@ -33,6 +41,9 @@ N_DIMENSIONS = 8
 BATCH_SIZE = 4096
 SCALES = (10_000, 100_000)
 MIN_SPEEDUP_AT_100K = 5.0
+DURABLE_RECORDS = 10_000
+DURABLE_BATCH_SIZE = 256
+MAX_WAL_BYTES_PER_RECORD = 800
 
 
 def make_stream(n):
@@ -69,6 +80,23 @@ def timed_ingest(base, stream, batch_size, rounds):
             maintainer.ingest_many(stream, batch_size=batch_size)
         best = min(best, time.perf_counter() - start)
     return best, maintainer
+
+
+def write_results(**fields):
+    """Merge ``fields`` into ``BENCH_ingest.json``, keeping other series."""
+    results = (
+        json.loads(RESULTS_PATH.read_text()) if RESULTS_PATH.exists()
+        else {}
+    )
+    results.update(fields, schema_version=1)
+    RESULTS_PATH.write_text(
+        json.dumps(results, indent=2, sort_keys=True) + "\n"
+    )
+
+
+def wal_segments(directory):
+    """WAL segment files of a durability directory, in log order."""
+    return sorted(Path(directory).glob("wal-*.log"))
 
 
 def test_batch_vs_sequential_ingest_throughput():
@@ -108,14 +136,10 @@ def test_batch_vs_sequential_ingest_throughput():
                 f"{MIN_SPEEDUP_AT_100K}x at 100k records"
             )
 
-    RESULTS_PATH.write_text(json.dumps({
-        "schema_version": 1,
-        "k": K,
-        "n_dimensions": N_DIMENSIONS,
-        "batch_size": BATCH_SIZE,
-        "min_speedup_at_100k": MIN_SPEEDUP_AT_100K,
-        "scales": scales,
-    }, indent=2, sort_keys=True) + "\n")
+    write_results(
+        k=K, n_dimensions=N_DIMENSIONS, batch_size=BATCH_SIZE,
+        min_speedup_at_100k=MIN_SPEEDUP_AT_100K, scales=scales,
+    )
     print("\nwrote " + RESULTS_PATH.name + ": " + ", ".join(
         f"{entry['n_records']} records "
         f"seq {entry['sequential']['records_per_second']:.0f}/s "
@@ -123,3 +147,54 @@ def test_batch_vs_sequential_ingest_throughput():
         f"({entry['speedup']:.1f}x)"
         for entry in scales
     ))
+
+
+def test_durable_ingest_wal_bytes(tmp_path, monkeypatch):
+    base, stream = make_stream(DURABLE_RECORDS)
+    encode_entry = wal.encode_entry
+    encode_seconds = []
+
+    def timed_encode(entry):
+        start = time.perf_counter()
+        line = encode_entry(entry)
+        encode_seconds.append(time.perf_counter() - start)
+        return line
+
+    monkeypatch.setattr(wal, "encode_entry", timed_encode)
+    condenser = DynamicCondenser(
+        K, random_state=0, wal_dir=tmp_path,
+        batch_size=DURABLE_BATCH_SIZE,
+    )
+    condenser.fit(base)
+    bootstrap_bytes = sum(
+        path.stat().st_size for path in wal_segments(tmp_path)
+    )
+    encode_seconds.clear()
+    start = time.perf_counter()
+    condenser.partial_fit(stream)
+    seconds = time.perf_counter() - start
+    condenser.close()
+    check_utility(base, stream, condenser._maintainer)
+    wal_bytes = sum(
+        path.stat().st_size for path in wal_segments(tmp_path)
+    ) - bootstrap_bytes
+    durable = {
+        "n_records": DURABLE_RECORDS,
+        "batch_size": DURABLE_BATCH_SIZE,
+        "n_entries": len(encode_seconds),
+        "wal_bytes_per_record": wal_bytes / DURABLE_RECORDS,
+        "encode_us_per_record": 1e6 * sum(encode_seconds)
+        / DURABLE_RECORDS,
+        "records_per_second": DURABLE_RECORDS / seconds,
+        "max_wal_bytes_per_record": MAX_WAL_BYTES_PER_RECORD,
+    }
+    assert durable["wal_bytes_per_record"] <= MAX_WAL_BYTES_PER_RECORD, (
+        f"WAL grew to {durable['wal_bytes_per_record']:.0f} B/record > "
+        f"{MAX_WAL_BYTES_PER_RECORD}"
+    )
+    write_results(durable=durable)
+    print(
+        f"\nwrote {RESULTS_PATH.name}: durable "
+        f"{durable['wal_bytes_per_record']:.0f} WAL B/record, encode "
+        f"{durable['encode_us_per_record']:.2f} us/record"
+    )

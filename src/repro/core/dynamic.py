@@ -19,6 +19,13 @@ assumption.  Writing ``C = P Λ Pᵀ`` with leading eigenpair ``(λ₁, e₁)``:
 
 Each child's sums are then reassembled from its centroid and covariance
 via Equation 3.
+
+Only those statistics are ever durable.  A durable condenser binds
+:attr:`DynamicGroupMaintainer.journal` and receives one post-state
+sub-operation per touched group, each group packed as its exact
+little-endian float64 bytes (:func:`~repro.core.statistics.pack_group`);
+:meth:`DynamicGroupMaintainer.apply_ops` replays them during recovery,
+refreshing the centroid cache once per replayed entry.
 """
 
 from __future__ import annotations
@@ -27,7 +34,12 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.condensation import create_condensed_groups
-from repro.core.statistics import CondensedModel, GroupStatistics
+from repro.core.statistics import (
+    CondensedModel,
+    GroupStatistics,
+    pack_group,
+    unpack_group,
+)
 from repro.linalg.rng import check_random_state, rng_from_state, rng_state
 from repro.neighbors.brute import pairwise_distances
 from repro.telemetry import DEFAULT_SIZE_BUCKETS
@@ -128,15 +140,16 @@ class DynamicGroupMaintainer:
     *post-state* — the updated group aggregates, never the triggering
     record.  Ingestion emits an ``absorb`` sub-operation per touched
     group and a ``split`` per split, each carrying its absorbed count.
-    The durable condensers collect these into WAL entries;
-    :meth:`apply_op` replays them (including the ``ingest`` entries
-    that record-at-a-time releases before 1.11 wrote), and because
-    each sub-operation
-    carries exact (JSON-round-trippable) float aggregates, replay
-    reconstructs the maintainer bit for bit.  Warm-up buffering emits
-    nothing: raw records are not durable, which is exactly the
-    at-least-once recovery contract (lost warm-up records are re-fed
-    by the upstream source).
+    Groups travel packed (:func:`~repro.core.statistics.pack_group`,
+    their exact float64 bytes), and are packed only when a journal is
+    bound.  The durable condensers collect these into WAL entries;
+    :meth:`apply_ops` replays them (including the list-form groups and
+    the ``ingest`` sub-operations of older releases), and because each
+    sub-operation carries the exact aggregates, replay reconstructs
+    the maintainer bit for bit.  :meth:`state_dict` packs its groups
+    the same way.  Warm-up buffering emits nothing: raw records are
+    not durable, which is exactly the at-least-once recovery contract
+    (lost warm-up records are re-fed by the upstream source).
     """
 
     def __init__(
@@ -298,9 +311,8 @@ class DynamicGroupMaintainer:
                 self.n_absorbed += take.shape[0]
                 if group.count < 2 * self.k:
                     self._centroids[target] = group.centroid
-                    self._emit({"op": "absorb", "target": target,
-                                "group": group.to_dict(),
-                                "n": int(take.shape[0])})
+                    self._emit("absorb", target=target, group=group,
+                               n=int(take.shape[0]))
                     continue
                 with telemetry.span("dynamic.split") as split_span:
                     split_span.set_attribute("group_size", group.count)
@@ -312,10 +324,8 @@ class DynamicGroupMaintainer:
                     appended.append(second.centroid)
                     split_span.set_attribute("n_groups", len(self._groups))
                 telemetry.counter_inc("dynamic.splits")
-                self._emit({"op": "split", "target": target,
-                            "first": first.to_dict(),
-                            "second": second.to_dict(),
-                            "absorbed": int(take.shape[0])})
+                self._emit("split", target=target, first=first,
+                           second=second, absorbed=int(take.shape[0]))
             if appended:
                 self._centroids = np.vstack([self._centroids] + appended)
             remainder = (
@@ -359,7 +369,7 @@ class DynamicGroupMaintainer:
         self._refresh_centroids()
         telemetry.counter_inc("dynamic.absorbed", self.k)
         telemetry.gauge_set("dynamic.groups", 1)
-        self._emit({"op": "founding", "group": founding.to_dict()})
+        self._emit("founding", group=founding)
         return block[taken:]
 
     def _nearest(self, records: np.ndarray) -> np.ndarray:
@@ -413,8 +423,7 @@ class DynamicGroupMaintainer:
         if group.count >= self.k or len(self._groups) == 1:
             if group.count > 0:
                 self._centroids[target] = group.centroid
-                self._emit({"op": "remove", "target": target,
-                            "group": group.to_dict()})
+                self._emit("remove", target=target, group=group)
                 return
         self._merge_undersized(target)
 
@@ -426,9 +435,8 @@ class DynamicGroupMaintainer:
             self.n_merges += 1
             telemetry.counter_inc("dynamic.merges")
             telemetry.gauge_set("dynamic.groups", len(self._groups))
-            self._emit({"op": "merge", "target": target,
-                        "neighbour": None, "merged": None,
-                        "resplit": None})
+            self._emit("merge", target=target, neighbour=None,
+                       merged=None, resplit=None)
             return
         neighbour = int(self._nearest(group.centroid[None, :])[0])
         merged = self._groups[neighbour]
@@ -442,68 +450,85 @@ class DynamicGroupMaintainer:
             self._groups.append(second)
             self.n_splits += 1
             telemetry.counter_inc("dynamic.splits")
-            resplit = [first.to_dict(), second.to_dict()]
+            resplit = [first, second]
         self._refresh_centroids()
         telemetry.gauge_set("dynamic.groups", len(self._groups))
-        self._emit({"op": "merge", "target": target,
-                    "neighbour": neighbour,
-                    "merged": None if resplit else merged.to_dict(),
-                    "resplit": resplit})
+        self._emit("merge", target=target, neighbour=neighbour,
+                   merged=None if resplit else merged, resplit=resplit)
 
     # ------------------------------------------------------------------
     # Journaling and durable state
     # ------------------------------------------------------------------
 
-    def _emit(self, sub: dict) -> None:
-        """Hand one post-state sub-operation to the journal, if bound."""
-        if self.journal is not None:
-            self.journal(sub)
+    def _emit(self, op: str, **fields) -> None:
+        """Hand one post-state sub-operation to the journal, if bound.
 
-    def apply_op(self, sub: dict) -> None:
-        """Replay one journaled sub-operation (WAL recovery path).
+        Group-valued fields (a group, a list of groups) are packed with
+        :func:`~repro.core.statistics.pack_group` only once a journal
+        is bound, so non-durable ingest builds no payload at all.
+        """
+        if self.journal is None:
+            return
+        sub = {"op": op}
+        for key, value in fields.items():
+            if isinstance(value, GroupStatistics):
+                value = pack_group(value)
+            elif isinstance(value, list):
+                value = [pack_group(group) for group in value]
+            sub[key] = value
+        self.journal(sub)
+
+    def apply_ops(self, subs) -> None:
+        """Replay journaled sub-operations (WAL recovery path).
 
         Each sub-operation stores the *post-state* aggregates of the
         group(s) it touched, so applying it sets state rather than
         re-deriving it — replay is therefore bit-identical to the
         original run regardless of floating-point evaluation order.
+        The centroid cache is rebuilt once, after the last
+        sub-operation, so replaying an entry costs one pass over the
+        groups rather than one per sub-operation.
 
         Parameters
         ----------
-        sub:
-            A sub-operation dict as emitted through :attr:`journal`.
+        subs:
+            Sub-operation dicts as emitted through :attr:`journal`
+            (packed, or the list form written before 1.15).
 
         Raises
         ------
         ValueError
-            If the operation kind is unknown.
+            If an operation kind is unknown or a group payload is
+            malformed.
         """
+        for sub in subs:
+            self._apply_op(sub)
+        if self._groups:
+            self._refresh_centroids()
+
+    def _apply_op(self, sub: dict) -> None:
+        """Apply one sub-operation's post-state; centroids untouched."""
         op = sub.get("op")
         if op == "founding":
-            founding = GroupStatistics.from_dict(sub["group"])
+            founding = unpack_group(sub["group"])
             self._groups.append(founding)
             self._warmup.clear()
             self.n_absorbed += founding.count
         elif op in ("absorb", "ingest"):
             # ``ingest`` is the one-record absorb that record-at-a-time
             # ingest journaled before 1.11.
-            self._groups[sub["target"]] = GroupStatistics.from_dict(
-                sub["group"]
-            )
+            self._groups[sub["target"]] = unpack_group(sub["group"])
             self.n_absorbed += int(sub.get("n", 1))
         elif op == "split":
-            self._groups[sub["target"]] = GroupStatistics.from_dict(
-                sub["first"]
-            )
-            self._groups.append(GroupStatistics.from_dict(sub["second"]))
+            self._groups[sub["target"]] = unpack_group(sub["first"])
+            self._groups.append(unpack_group(sub["second"]))
             # A split carries the count absorbed with it; splits
             # journaled before 1.11 by record-at-a-time ingest omit it
             # and absorbed exactly the one triggering record.
             self.n_absorbed += int(sub.get("absorbed", 1))
             self.n_splits += 1
         elif op == "remove":
-            self._groups[sub["target"]] = GroupStatistics.from_dict(
-                sub["group"]
-            )
+            self._groups[sub["target"]] = unpack_group(sub["group"])
             self.n_absorbed -= 1
         elif op == "merge":
             self._groups.pop(sub["target"])
@@ -511,21 +536,15 @@ class DynamicGroupMaintainer:
             self.n_merges += 1
             if sub.get("resplit") is not None:
                 first_state, second_state = sub["resplit"]
-                self._groups[sub["neighbour"]] = (
-                    GroupStatistics.from_dict(first_state)
-                )
-                self._groups.append(
-                    GroupStatistics.from_dict(second_state)
-                )
+                self._groups[sub["neighbour"]] = unpack_group(first_state)
+                self._groups.append(unpack_group(second_state))
                 self.n_splits += 1
             elif sub.get("merged") is not None:
-                self._groups[sub["neighbour"]] = (
-                    GroupStatistics.from_dict(sub["merged"])
+                self._groups[sub["neighbour"]] = unpack_group(
+                    sub["merged"]
                 )
         else:
             raise ValueError(f"unknown journal operation {op!r}")
-        if self._groups:
-            self._refresh_centroids()
 
     def state_dict(self) -> dict:
         """Full durable state as a JSON-serializable document.
@@ -541,7 +560,7 @@ class DynamicGroupMaintainer:
         """
         return {
             "k": self.k,
-            "groups": [group.to_dict() for group in self._groups],
+            "groups": [pack_group(group) for group in self._groups],
             "n_splits": self.n_splits,
             "n_merges": self.n_merges,
             "n_absorbed": self.n_absorbed,
@@ -567,7 +586,7 @@ class DynamicGroupMaintainer:
             int(state["k"]), random_state=rng_from_state(state["rng"])
         )
         maintainer._groups = [
-            GroupStatistics.from_dict(entry) for entry in state["groups"]
+            unpack_group(entry) for entry in state["groups"]
         ]
         maintainer.n_splits = int(state["n_splits"])
         maintainer.n_merges = int(state["n_merges"])

@@ -11,10 +11,18 @@ From these the group mean (Observation 1) and covariance (Observation 2)
 are derivable, and from the covariance's eigendecomposition the group's
 orthonormal axis system used for anonymized-data generation and for the
 dynamic split.
+
+Public documents (saved models, ``/model``, shard checkpoints) carry a
+group as JSON float lists (:meth:`GroupStatistics.to_dict`).  Durable
+streaming state (WAL sub-operations and snapshots) carries it packed —
+the exact little-endian float64 bytes, base64-encoded
+(:func:`pack_group` / :func:`unpack_group`) — which skips float
+``repr`` on the ingest hot path and round-trips bit for bit.
 """
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -274,6 +282,104 @@ class GroupStatistics:
             f"GroupStatistics(n_features={self.n_features}, "
             f"count={self.count})"
         )
+
+
+def _packed_array(payload: dict, key: str) -> bytes:
+    """Strictly base64-decode one packed array field."""
+    text = payload.get(key)
+    if not isinstance(text, str):
+        raise ValueError(f"packed group field {key!r} must be a string")
+    try:
+        return base64.b64decode(text, validate=True)
+    except ValueError as error:
+        raise ValueError(
+            f"packed group field {key!r} is not valid base64: {error}"
+        ) from None
+
+
+def pack_group(group: GroupStatistics) -> dict:
+    """Durable form of one group: exact little-endian float64 bytes.
+
+    ``Fs`` and the whole ``d × d`` ``Sc`` are stored as base64 of their
+    ``"<f8"`` bytes, so :func:`unpack_group` restores them bit for bit
+    without formatting a single float.
+
+    Parameters
+    ----------
+    group:
+        The group to pack.
+
+    Returns
+    -------
+    dict
+        ``{"count": n, "fs": <base64>, "sc": <base64>}``.
+    """
+    return {
+        "count": group.count,
+        "fs": base64.b64encode(
+            group.first_order.astype("<f8", copy=False).tobytes()
+        ).decode("ascii"),
+        "sc": base64.b64encode(
+            group.second_order.astype("<f8", copy=False).tobytes()
+        ).decode("ascii"),
+    }
+
+
+def unpack_group(payload: dict) -> GroupStatistics:
+    """Inverse of :func:`pack_group`; also reads the list form.
+
+    Payloads holding ``first_order`` / ``second_order`` lists (durable
+    state written before 1.15, or :meth:`GroupStatistics.to_dict`) are
+    read through :meth:`GroupStatistics.from_dict`.
+
+    Parameters
+    ----------
+    payload:
+        A packed or list-form group payload.
+
+    Returns
+    -------
+    GroupStatistics
+
+    Raises
+    ------
+    ValueError
+        If a packed payload is malformed: a count that is not an
+        integer ``>= 1``, a field that is not strict base64, an ``Fs``
+        that is empty or not a whole number of float64s, or an ``Sc``
+        of other than ``8 d²`` bytes.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"group payload must be a mapping, got {type(payload).__name__}"
+        )
+    if "first_order" in payload:
+        return GroupStatistics.from_dict(payload)
+    count = payload.get("count")
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise ValueError(
+            f"packed group count must be an integer >= 1, got {count!r}"
+        )
+    first = _packed_array(payload, "fs")
+    second = _packed_array(payload, "sc")
+    if not first or len(first) % 8:
+        raise ValueError(
+            f"packed Fs must be a non-empty float64 vector, got "
+            f"{len(first)} bytes"
+        )
+    d = len(first) // 8
+    if len(second) != 8 * d * d:
+        raise ValueError(
+            f"packed Sc must hold {8 * d * d} bytes for d={d}, got "
+            f"{len(second)}"
+        )
+    return GroupStatistics(
+        first_order=np.frombuffer(first, dtype="<f8").astype(float),
+        second_order=np.frombuffer(second, dtype="<f8").astype(
+            float
+        ).reshape(d, d),
+        count=count,
+    )
 
 
 def stacked_covariances(groups) -> np.ndarray:

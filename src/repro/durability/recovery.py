@@ -16,7 +16,7 @@ Entry vocabulary
     One completed source operation and the journal sub-operations it
     produced (``founding`` / ``absorb`` / ``split`` / ``remove`` /
     ``merge``, and ``ingest`` in logs written before 1.11), applied via
-    :meth:`~repro.core.dynamic.DynamicGroupMaintainer.apply_op`.
+    :meth:`~repro.core.dynamic.DynamicGroupMaintainer.apply_ops`.
     A sliding-window push that both adds and expires is one atomic
     ``op`` entry, so recovery can never observe a half-applied push.
 ``{"kind": "batch", "pos": p, "ops": [...]}``
@@ -29,6 +29,14 @@ Entry vocabulary
 ``{"kind": "rng", "pos": p, "state": {...}}``
     The generator position after an anonymized-data generation, so
     post-recovery draws continue the original sequence bit for bit.
+
+Every group inside a ``state`` or a sub-operation is one payload
+``{"count": n, "fs": ..., "sc": ...}`` holding base64 of the exact
+little-endian float64 bytes of ``Fs`` and the full ``d × d`` ``Sc``
+(:func:`~repro.core.statistics.pack_group`).  Logs and snapshots
+written before 1.15 hold ``first_order`` / ``second_order`` float
+lists instead; :func:`~repro.core.statistics.unpack_group` reads both,
+so a directory may mix the two forms.
 
 Recovery contract
 -----------------
@@ -103,9 +111,10 @@ def rebuild_maintainer(recovered: RecoveredState):
 
     Applies the snapshot state (if any), then replays the WAL tail in
     order.  Because every entry stores the *post-operation* group
-    aggregates and the JSON float round trip is exact, the rebuilt
-    maintainer is bit-identical to the in-memory state at the durable
-    frontier.
+    aggregates as their exact float64 bytes, the rebuilt maintainer is
+    bit-identical to the in-memory state at the durable frontier.
+    Replay is linear in the tail: the centroid cache is rebuilt once
+    per entry, not once per sub-operation.
 
     Parameters
     ----------
@@ -144,8 +153,7 @@ def rebuild_maintainer(recovered: RecoveredState):
                     f"WAL entry {seq} applies an operation before any "
                     "bootstrap or snapshot established state"
                 )
-            for sub in entry["ops"]:
-                maintainer.apply_op(sub)
+            maintainer.apply_ops(entry["ops"])
         elif kind == "rng":
             if maintainer is None:
                 raise RecoveryError(

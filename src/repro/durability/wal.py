@@ -5,7 +5,11 @@ An entry is a *statistics delta*: the post-update ``(Fs, Sc, n)``
 aggregate of the touched group(s), never a raw record — the same
 invariant the in-memory maintainer upholds (paper §2), extended to
 disk.  Replaying the log therefore reconstructs group state by
-re-setting aggregates, not by re-ingesting records.
+re-setting aggregates, not by re-ingesting records.  The condensers
+pack each aggregate as base64 of its exact little-endian float64 bytes
+(:func:`repro.core.statistics.pack_group`); this module never looks
+inside an entry, so it frames packed and older list-form entries
+alike.
 
 On-disk format
 --------------
@@ -287,6 +291,8 @@ class WriteAheadLog:
         line = encode_entry(entry) + "\n"
         handle = self._active_handle()
         handle.write(line)
+        # JSON text is ASCII (``ensure_ascii``), so characters are bytes.
+        telemetry.counter_inc("durability.wal_bytes_written", len(line))
         self._appends_since_fsync += 1
         if self._appends_since_fsync >= self.fsync_every:
             started = time.perf_counter()

@@ -5,13 +5,16 @@
 that implementation here as the oracle: per record it takes the brute
 nearest group (lowest id on ties, the contract of the retired k-d tree
 lookup), absorbs the record, splits exactly at ``2k`` (Fig. 3), and
-journals one ``ingest`` or ``split`` sub-operation.
+journals one ``ingest`` or ``split`` sub-operation with its groups in
+the list form of that release.
 
 The differential matrix covers d ∈ {1, 2, 4, 8, 16, 20, 34} and
 k ∈ {2, 5, 12}, from a static bootstrap and from a cold start, with a
 ``remove`` (and the merges it triggers) after every 7th record.  Both
 sides must agree byte for byte on the group sums and the centroid
-cache, and exactly on the counters, the journal and the RNG position.
+cache, and exactly on the counters, the journal and the RNG position;
+journaled groups are compared by their unpacked float64 bytes, so the
+packed journal must carry exactly the legacy list form's values.
 
 :func:`legacy_partial_fit` writes the ``op`` WAL entries of the old
 durable record-at-a-time path, so tests can check that directories
@@ -22,13 +25,19 @@ import numpy as np
 import pytest
 
 from repro.core.dynamic import DynamicGroupMaintainer, split_group_statistics
-from repro.core.statistics import GroupStatistics
+from repro.core.statistics import GroupStatistics, unpack_group
 from repro.linalg.rng import rng_state
 from repro.neighbors.brute import pairwise_distances
 
 DIMENSIONS = (1, 2, 4, 8, 16, 20, 34)
 KS = (2, 5, 12)
 REMOVE_EVERY = 7
+
+
+def emit(maintainer, sub):
+    """The pre-1.11 ``_emit``: hand ``sub`` to a bound journal."""
+    if maintainer.journal is not None:
+        maintainer.journal(sub)
 
 
 def legacy_add(maintainer, record):
@@ -44,7 +53,7 @@ def legacy_add(maintainer, record):
             maintainer._warmup.clear()
             maintainer.n_absorbed += maintainer.k
             maintainer._refresh_centroids()
-            maintainer._emit({"op": "founding",
+            emit(maintainer, {"op": "founding",
                               "group": founding.to_dict()})
         return
     distances = pairwise_distances(
@@ -60,12 +69,12 @@ def legacy_add(maintainer, record):
         maintainer._groups.append(second)
         maintainer.n_splits += 1
         maintainer._refresh_centroids()
-        maintainer._emit({"op": "split", "target": target,
+        emit(maintainer, {"op": "split", "target": target,
                           "first": first.to_dict(),
                           "second": second.to_dict()})
     else:
         maintainer._centroids[target] = group.centroid
-        maintainer._emit({"op": "ingest", "target": target,
+        emit(maintainer, {"op": "ingest", "target": target,
                           "group": group.to_dict()})
 
 
@@ -81,14 +90,33 @@ def legacy_partial_fit(condenser, records):
         condenser._flush_ops()
 
 
+GROUP_FIELDS = ("group", "first", "second", "merged")
+
+
+def group_bytes(payload):
+    """A journaled group as ``(count, Fs bytes, Sc bytes)``, any form."""
+    group = unpack_group(payload)
+    return (group.count, group.first_order.tobytes(),
+            group.second_order.tobytes())
+
+
 def normalized(sub):
-    """A journal sub-operation in the block path's vocabulary."""
+    """A journal sub-operation in the block path's vocabulary.
+
+    Groups become their unpacked float64 bytes, which is stricter than
+    comparing float lists (``-0.0 == 0.0`` as a float, not as bytes).
+    """
     sub = dict(sub)
     if sub["op"] == "ingest":
         sub["op"] = "absorb"
         sub["n"] = 1
     elif sub["op"] == "split":
         sub.setdefault("absorbed", 1)
+    for key in GROUP_FIELDS:
+        if sub.get(key) is not None:
+            sub[key] = group_bytes(sub[key])
+    if sub.get("resplit") is not None:
+        sub["resplit"] = [group_bytes(group) for group in sub["resplit"]]
     return sub
 
 

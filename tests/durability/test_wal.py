@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro import telemetry
 from repro.durability import (
     WriteAheadLog,
     decode_line,
@@ -62,6 +63,23 @@ class TestAppendReplay:
                 wal.append({"pos": position, "pad": "x" * 40})
             assert len(wal.segments()) > 1
             assert len(entries_of(wal)) == 30
+
+    def test_bytes_written_counter_matches_the_segments(self, tmp_path):
+        pipeline = telemetry.configure()
+        try:
+            with WriteAheadLog(tmp_path, max_segment_bytes=200) as wal:
+                for position in range(30):
+                    wal.append({"pos": position, "pad": "é" * 20})
+                assert len(wal.segments()) > 1
+                on_disk = sum(
+                    path.stat().st_size for path in wal.segments()
+                )
+            written = pipeline.registry.counter(
+                "durability.wal_bytes_written"
+            ).value()
+        finally:
+            telemetry.disable()
+        assert written == on_disk
 
     def test_last_seq_survives_reopen(self, tmp_path):
         with WriteAheadLog(tmp_path) as wal:
