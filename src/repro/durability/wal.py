@@ -54,6 +54,11 @@ def _segment_name(index: int) -> str:
     return f"wal-{index:06d}.log"
 
 
+def _segment_index_of(segment) -> int:
+    """Index of the segment at path ``segment``."""
+    return int(_SEGMENT_PATTERN.match(segment.name).group(1))
+
+
 def encode_entry(entry: dict) -> str:
     """Render one entry as a CRC-framed log line (without newline).
 
@@ -129,6 +134,53 @@ def list_segments(directory) -> list:
     )
 
 
+def _walk(segments):
+    """Classify every physical frame of ``segments`` against the frontier.
+
+    The one frontier walk behind replay, inspection, repair on open and
+    pruning.  Segments are read in binary mode and each line decoded
+    with ``"replace"``, so a stray non-UTF-8 byte fails the frame's CRC
+    like any other corruption instead of raising.
+
+    Parameters
+    ----------
+    segments:
+        Segment paths in log order.
+
+    Yields
+    ------
+    tuple
+        ``(segment, offset, raw, entry, status)`` per physical line:
+        the segment path, the line's byte offset in it, its raw bytes,
+        the decoded entry (``None`` when invalid), and ``status`` —
+        ``"ok"`` inside the durable prefix, ``"torn"`` for a
+        CRC/framing failure or a missing integer ``seq``, ``"gap"`` for
+        a sequence discontinuity, ``"orphaned"`` for any frame after
+        the first non-``ok`` one.
+    """
+    previous_seq = None
+    broken = False
+    for segment in segments:
+        offset = 0
+        with open(segment, "rb") as handle:
+            for raw in handle:
+                entry = decode_line(raw.decode("utf-8", "replace"))
+                seq = entry.get("seq") if entry else None
+                if broken:
+                    status = "orphaned"
+                elif not isinstance(seq, int):
+                    status = "torn"
+                    broken = True
+                elif previous_seq is not None and seq != previous_seq + 1:
+                    status = "gap"
+                    broken = True
+                else:
+                    status = "ok"
+                    previous_seq = seq
+                yield segment, offset, raw, entry, status
+                offset += len(raw)
+
+
 def inspect_frames(directory):
     """Describe every physical WAL frame without modifying the log.
 
@@ -156,52 +208,40 @@ def inspect_frames(directory):
         and ``"orphaned"`` for structurally valid frames stranded
         beyond an earlier invalid one.
     """
-    previous_seq = None
-    broken = False
-    for segment in list_segments(directory):
-        offset = 0
-        with open(segment, "rb") as handle:
-            for raw in handle:
-                entry = decode_line(raw.decode("utf-8", "replace"))
-                seq = entry.get("seq") if entry else None
-                frame = {
-                    "segment": segment.name,
-                    "offset": offset,
-                    "length": len(raw),
-                    "crc_ok": entry is not None,
-                    "seq": seq if isinstance(seq, int) else None,
-                    "kind": entry.get("kind") if entry else None,
-                }
-                if broken:
-                    frame["status"] = "orphaned"
-                elif entry is None or not isinstance(seq, int):
-                    frame["status"] = "torn"
-                    broken = True
-                elif previous_seq is not None and seq != previous_seq + 1:
-                    frame["status"] = "gap"
-                    broken = True
-                else:
-                    frame["status"] = "ok"
-                    previous_seq = seq
-                yield frame
-                offset += len(raw)
+    for segment, offset, raw, entry, status in _walk(
+        list_segments(directory)
+    ):
+        seq = entry.get("seq") if entry else None
+        yield {
+            "segment": segment.name,
+            "offset": offset,
+            "length": len(raw),
+            "crc_ok": entry is not None,
+            "seq": seq if isinstance(seq, int) else None,
+            "kind": entry.get("kind") if entry else None,
+            "status": status,
+        }
 
 
 def replay_directory(directory, after_seq: int = 0):
-    """Read-only replay: valid entries past the durable frontier check.
+    """Read-only replay: the valid entries up to the durable frontier.
 
-    The generator equivalent of :meth:`WriteAheadLog.replay`, but
-    without constructing a log object — so nothing is repaired,
-    truncated, or opened for append.  Used by ``repro recover
-    --dry-run`` to prove what a recovery *would* rebuild while leaving
-    the directory byte-identical.
+    Replay stops at the durable frontier: the first torn/corrupt line
+    or sequence discontinuity.  Entries beyond it — even structurally
+    valid ones — are discarded, because an entry whose predecessor is
+    lost describes a state transition from an unknown state.  Nothing
+    is repaired, truncated, or opened for append, so ``repro recover
+    --dry-run`` uses it to prove what a recovery *would* rebuild while
+    leaving the directory byte-identical.
 
     Parameters
     ----------
     directory:
         WAL directory.
     after_seq:
-        Only entries strictly after this sequence number are yielded.
+        Only entries strictly after this sequence number are yielded
+        (entries at or below it are skipped but still validated for
+        continuity).
 
     Yields
     ------
@@ -209,21 +249,11 @@ def replay_directory(directory, after_seq: int = 0):
         ``(seq, entry)`` pairs in increasing ``seq`` order, ending at
         the durable frontier.
     """
-    previous_seq = None
-    for segment in list_segments(directory):
-        with open(segment, "r", newline="") as handle:
-            for line in handle:
-                entry = decode_line(line)
-                if entry is None:
-                    return
-                seq = entry.get("seq")
-                if not isinstance(seq, int):
-                    return
-                if previous_seq is not None and seq != previous_seq + 1:
-                    return
-                previous_seq = seq
-                if seq > after_seq:
-                    yield seq, entry
+    for __, __, __, entry, status in _walk(list_segments(directory)):
+        if status != "ok":
+            return
+        if entry["seq"] > after_seq:
+            yield entry["seq"], entry
 
 
 class WriteAheadLog:
@@ -335,26 +365,16 @@ class WriteAheadLog:
         -------
         list of pathlib.Path
         """
-        return sorted(
-            path for path in self.directory.iterdir()
-            if _SEGMENT_PATTERN.match(path.name)
-        )
+        return list_segments(self.directory)
 
     def replay(self, after_seq: int = 0):
-        """Yield valid entries with ``seq > after_seq`` in log order.
-
-        Replay stops at the durable frontier: the first torn/corrupt
-        line or sequence discontinuity.  Entries beyond the frontier —
-        even structurally valid ones — are discarded, because an entry
-        whose predecessor is lost describes a state transition from an
-        unknown state.
+        """Close the active segment, then :func:`replay_directory`.
 
         Parameters
         ----------
         after_seq:
             Only entries strictly after this sequence number are
-            yielded (entries at or below it are skipped but still
-            validated for continuity).
+            yielded.
 
         Yields
         ------
@@ -362,21 +382,7 @@ class WriteAheadLog:
             ``(seq, entry)`` pairs in increasing ``seq`` order.
         """
         self.close()
-        previous_seq = None
-        for segment in self.segments():
-            with open(segment, "r", newline="") as handle:
-                for line in handle:
-                    entry = decode_line(line)
-                    if entry is None:
-                        return
-                    seq = entry.get("seq")
-                    if not isinstance(seq, int):
-                        return
-                    if previous_seq is not None and seq != previous_seq + 1:
-                        return
-                    previous_seq = seq
-                    if seq > after_seq:
-                        yield seq, entry
+        yield from replay_directory(self.directory, after_seq)
 
     # ------------------------------------------------------------------
     # Pruning
@@ -433,40 +439,27 @@ class WriteAheadLog:
         WAL would be: the first invalid byte and everything after it
         (including later segments) is discarded.
         """
-        previous_seq = None
-        for segment in self.segments():
-            valid_bytes = 0
-            broken = False
-            with open(segment, "rb") as handle:
-                for raw in handle:
-                    entry = decode_line(raw.decode("utf-8", "replace"))
-                    seq = entry.get("seq") if entry else None
-                    if not isinstance(seq, int) or (
-                        previous_seq is not None
-                        and seq != previous_seq + 1
-                    ):
-                        broken = True
-                        break
-                    previous_seq = seq
-                    valid_bytes += len(raw)
-            index = int(_SEGMENT_PATTERN.match(segment.name).group(1))
-            if broken:
-                if valid_bytes == 0:
-                    segment.unlink()
-                    self._segment_index = max(self._segment_index, index)
-                else:
-                    with open(segment, "rb+") as handle:
-                        handle.truncate(valid_bytes)
-                    self._segment_index = index
-                for later in self.segments():
-                    later_index = int(
-                        _SEGMENT_PATTERN.match(later.name).group(1)
-                    )
-                    if later_index > index:
-                        later.unlink()
+        segments = self.segments()
+        frontier = None
+        for segment, offset, __, entry, status in _walk(segments):
+            if status != "ok":
+                frontier = segment, offset
                 break
-            self._segment_index = index
-        self.last_seq = previous_seq or 0
+            self.last_seq = entry["seq"]
+        if frontier is None:
+            if segments:
+                self._segment_index = _segment_index_of(segments[-1])
+            return
+        segment, offset = frontier
+        self._segment_index = _segment_index_of(segment)
+        if offset == 0:
+            segment.unlink()
+        else:
+            with open(segment, "rb+") as handle:
+                handle.truncate(offset)
+        for later in segments:
+            if _segment_index_of(later) > self._segment_index:
+                later.unlink()
 
     def _active_handle(self):
         """The open handle of the active segment, creating it lazily."""
@@ -484,14 +477,10 @@ class WriteAheadLog:
     def _last_seq_in(self, segment) -> int | None:
         """Last valid sequence number in ``segment`` (None if empty)."""
         last = None
-        with open(segment, "r", newline="") as handle:
-            for line in handle:
-                entry = decode_line(line)
-                if entry is None:
-                    break
-                seq = entry.get("seq")
-                if isinstance(seq, int):
-                    last = seq
+        for __, __, __, entry, status in _walk([segment]):
+            if status != "ok":
+                break
+            last = entry["seq"]
         return last
 
     def __enter__(self):

@@ -114,6 +114,25 @@ class TestReplayDirectory:
     def test_empty_directory_yields_nothing(self, tmp_path):
         assert list(replay_directory(tmp_path)) == []
 
+    def test_non_utf8_byte_is_a_torn_frame(self, tmp_path):
+        # A stray 0xff inside frame 4 fails that frame's CRC: the
+        # read-only replay stops at the frontier the inspector and the
+        # repairing WriteAheadLog both see, instead of raising.
+        write_log(tmp_path, n=5)
+        [segment] = list_segments(tmp_path)
+        lines = segment.read_bytes().splitlines(keepends=True)
+        lines[3] = lines[3][:12] + b"\xff" + lines[3][13:]
+        segment.write_bytes(b"".join(lines))
+        before = segment_bytes(tmp_path)
+        statuses = [f["status"] for f in inspect_frames(tmp_path)]
+        assert statuses == ["ok", "ok", "ok", "torn", "orphaned"]
+        replayed = list(replay_directory(tmp_path))
+        assert [seq for seq, __ in replayed] == [1, 2, 3]
+        assert segment_bytes(tmp_path) == before
+        with WriteAheadLog(tmp_path) as wal:
+            assert list(wal.replay()) == replayed
+            assert wal.last_seq == 3
+
 
 class TestDiskUsageGauges:
     def test_disk_usage_sums_wal_and_snapshots(self, tmp_path):
