@@ -234,31 +234,6 @@ def _command_condense(arguments) -> int:
     return 0
 
 
-def _recover_dry_run(directory):
-    """Read-only equivalent of ``DurabilityManager.recover()``.
-
-    Builds the same :class:`~repro.durability.RecoveredState` from the
-    newest valid snapshot plus the WAL tail, but never opens the WAL
-    for append — so a torn tail is *observed*, not repaired, and the
-    directory stays byte-identical.
-    """
-    from repro.durability import (
-        RecoveredState,
-        latest_snapshot,
-        replay_directory,
-    )
-
-    info = latest_snapshot(directory)
-    base_seq = info.seq if info is not None else 0
-    entries = list(replay_directory(directory, after_seq=base_seq))
-    last_seq = entries[-1][0] if entries else base_seq
-    return RecoveredState(
-        snapshot_state=info.state if info is not None else None,
-        entries=entries,
-        last_seq=last_seq,
-    )
-
-
 def _command_recover(arguments) -> int:
     from repro.durability import (
         DurabilityManager,
@@ -266,6 +241,7 @@ def _command_recover(arguments) -> int:
         rebuild_maintainer,
         recovered_window,
     )
+    from repro.durability.manager import _read_recovered
 
     if arguments.output is None and not arguments.dry_run:
         print("error: an output model path is required unless "
@@ -273,15 +249,16 @@ def _command_recover(arguments) -> int:
         return 2
     try:
         if arguments.dry_run:
-            recovered = _recover_dry_run(arguments.directory)
-            maintainer, position = rebuild_maintainer(recovered)
+            # Read-only: never opens the WAL for append, so a torn tail
+            # is observed, not repaired, and the directory is untouched.
+            __, recovered = _read_recovered(arguments.directory)
         else:
             manager = DurabilityManager(arguments.directory)
             try:
                 recovered = manager.recover()
-                maintainer, position = rebuild_maintainer(recovered)
             finally:
                 manager.close()
+        maintainer, position = rebuild_maintainer(recovered)
     except RecoveryError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.condensation import create_condensed_groups
+from repro.core.condensation import (
+    create_condensed_groups,
+    require_positive_int,
+)
 from repro.core.dynamic import DynamicGroupMaintainer
 from repro.core.generation import generate_anonymized_data
 from repro.core.statistics import CondensedModel, GroupStatistics
@@ -117,7 +120,197 @@ class StaticCondenser:
         return self.model_
 
 
-class DynamicCondenser:
+class _DurableStream:
+    """The durable-stream journal shared by the streaming condensers.
+
+    Owns the optional :class:`~repro.durability.DurabilityManager` and
+    is the one writer of the stream-journal entry vocabulary (see
+    :mod:`repro.durability.recovery`): ``bootstrap`` entries and
+    snapshots carry the maintainer state, the stream position and
+    :meth:`_recorded_settings`; ``op`` / ``batch`` entries carry the
+    maintainer's journaled sub-operations; ``rng`` entries the
+    generator position.  Subclasses own ``_maintainer`` and advance
+    ``_position``.
+    """
+
+    #: Message :meth:`checkpoint` raises while no statistics exist.
+    _NOT_READY = "condenser is not fitted; call fit() first"
+
+    def __init__(self, k, sampler, random_state, wal_dir,
+                 checkpoint_every: int, fsync_every: int):
+        self.k = require_positive_int(k, "k")
+        self.sampler = sampler
+        self.wal_dir = wal_dir
+        self.checkpoint_every = int(checkpoint_every)
+        self.fsync_every = int(fsync_every)
+        self._rng = check_random_state(random_state)
+        self._maintainer: DynamicGroupMaintainer | None = None
+        self._position = 0
+        self._ops: list = []
+        self._closed = False
+        self._manager = None
+        if wal_dir is not None:
+            self._manager = self._open_manager(
+                wal_dir, self.checkpoint_every, self.fsync_every
+            )
+
+    @staticmethod
+    def _open_manager(wal_dir, checkpoint_every, fsync_every):
+        # Deferred import: repro.durability pulls in telemetry while
+        # this module may still be mid-import via repro/__init__.
+        from repro.durability import DurabilityManager
+
+        return DurabilityManager(
+            wal_dir, checkpoint_every=int(checkpoint_every),
+            fsync_every=int(fsync_every),
+        )
+
+    @classmethod
+    def _recover(cls, wal_dir, checkpoint_every, fsync_every, **settings):
+        """Rebuild an instance from ``wal_dir`` and journal on into it.
+
+        The instance is built as ``cls(k, random_state=<recovered
+        generator>, **settings)`` plus the settings the directory
+        recorded (:meth:`_recovered_settings`).
+        """
+        from repro.durability import rebuild_maintainer
+
+        manager = cls._open_manager(wal_dir, checkpoint_every, fsync_every)
+        recovered = manager.recover()
+        settings.update(cls._recovered_settings(recovered))
+        maintainer, position = rebuild_maintainer(recovered)
+        condenser = cls(maintainer.k, random_state=maintainer._rng,
+                        **settings)
+        condenser.wal_dir = wal_dir
+        condenser.checkpoint_every = int(checkpoint_every)
+        condenser.fsync_every = int(fsync_every)
+        condenser._manager = manager
+        condenser._maintainer = maintainer
+        condenser._position = position
+        condenser._attach()
+        return condenser
+
+    @staticmethod
+    def _recovered_settings(recovered) -> dict:
+        """Constructor settings read back from a recovery result."""
+        return {}
+
+    def _recorded_settings(self) -> dict:
+        """Settings recorded in ``bootstrap`` entries and snapshots."""
+        return {}
+
+    def _attach(self) -> None:
+        """Journal the maintainer's sub-operations; bind checkpoints."""
+        self._ops = []
+        self._maintainer.journal = self._ops.append
+        self._manager.bind(self._durable_state)
+
+    def _journal_bootstrap(self) -> None:
+        """Journal a freshly built maintainer's full state, if durable."""
+        if self._manager is None:
+            return
+        self._attach()
+        self._manager.append({
+            "kind": "bootstrap", "pos": self._position,
+            "state": self._maintainer.state_dict(),
+            **self._recorded_settings(),
+        })
+
+    def _durable_state(self) -> dict:
+        """Checkpoint document: maintainer state plus stream position."""
+        return {
+            "maintainer": self._maintainer.state_dict(),
+            "position": self._position,
+            **self._recorded_settings(),
+        }
+
+    def _flush_ops(self, kind: str = "op") -> None:
+        """Write the journal of one completed source op as a WAL entry.
+
+        Memory is mutated first, then logged: a crash in between loses
+        only the latest operation, which the at-least-once re-feed
+        replays.  Operations that emitted nothing (warm-up buffering)
+        leave no entry — raw records are never durable.  Batched
+        ingestion passes ``kind="batch"`` so a whole block travels as
+        one entry and the resume position stays on a block edge.
+        """
+        if self._manager is None or not self._ops:
+            return
+        entry = {"kind": kind, "pos": self._position,
+                 "ops": list(self._ops)}
+        self._ops.clear()
+        self._manager.append(entry)
+
+    def journal_rng(self) -> None:
+        """Journal the current RNG position.
+
+        A no-op when not durable or before any statistics exist (the
+        bootstrap entry carries the generator then).  ``generate``
+        does this automatically; callers that advance this condenser's
+        generator outside of it — e.g. the serving layer drawing from
+        a model combined across shards — use this hook so recovered
+        draw positions stay exact.
+        """
+        if self._manager is not None and self._maintainer is not None:
+            self._manager.append({
+                "kind": "rng", "pos": self._position,
+                "state": rng_state(self._rng),
+            })
+
+    @property
+    def position(self) -> int:
+        """Number of completed stream operations.
+
+        After ``recover``, this is the position the upstream feed must
+        resume from (the at-least-once recovery contract).
+        """
+        return self._position
+
+    def checkpoint(self):
+        """Snapshot the full durable state now.
+
+        Returns
+        -------
+        pathlib.Path
+            Path of the written snapshot.
+
+        Raises
+        ------
+        RuntimeError
+            If the condenser was built without ``wal_dir`` or holds no
+            statistics yet (raw records are never durable).
+        """
+        if self._manager is None:
+            raise RuntimeError(
+                "durability is disabled; construct with wal_dir= to "
+                "enable checkpointing"
+            )
+        if self._maintainer is None:
+            raise RuntimeError(self._NOT_READY)
+        return self._manager.checkpoint()
+
+    def close(self) -> None:
+        """Flush and close the write-ahead log, if durable.
+
+        Idempotent; :attr:`closed` reports the state so multi-shard
+        owners (the serve plane) can coordinate shutdown per shard.
+        """
+        if self._manager is not None:
+            self._manager.close()
+        self._closed = True
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has run.
+
+        Returns
+        -------
+        bool
+        """
+        return self._closed
+
+
+class DynamicCondenser(_DurableStream):
     """Condense an incrementally updated data set.
 
     Parameters
@@ -177,32 +370,12 @@ class DynamicCondenser:
                  random_state=None, wal_dir=None,
                  checkpoint_every: int = 0, fsync_every: int = 1,
                  batch_size: int = 1):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.k = int(k)
+        super().__init__(k, sampler, random_state, wal_dir,
+                         checkpoint_every, fsync_every)
         self.batch_size = int(batch_size)
         self.strategy = strategy
-        self.sampler = sampler
-        self.wal_dir = wal_dir
-        self.checkpoint_every = int(checkpoint_every)
-        self.fsync_every = int(fsync_every)
-        self._rng = check_random_state(random_state)
-        self._maintainer: DynamicGroupMaintainer | None = None
-        self._position = 0
-        self._ops: list = []
-        self._manager = None
-        self._closed = False
-        if wal_dir is not None:
-            # Deferred import: repro.durability pulls in telemetry while
-            # this module may still be mid-import via repro/__init__.
-            from repro.durability import DurabilityManager
-
-            self._manager = DurabilityManager(
-                wal_dir, checkpoint_every=self.checkpoint_every,
-                fsync_every=self.fsync_every,
-            )
 
     def fit(self, data: np.ndarray | None = None) -> "DynamicCondenser":
         """Bootstrap the maintainer, optionally from a static database.
@@ -220,12 +393,7 @@ class DynamicCondenser:
             random_state=self._rng,
         )
         self._position = 0
-        if self._manager is not None:
-            self._attach_durability()
-            self._manager.append({
-                "kind": "bootstrap", "pos": 0,
-                "state": self._maintainer.state_dict(),
-            })
+        self._journal_bootstrap()
         return self
 
     def partial_fit(self, records: np.ndarray) -> "DynamicCondenser":
@@ -277,81 +445,8 @@ class DynamicCondenser:
         generated = generate_anonymized_data(
             model, sampler=self.sampler, random_state=self._rng, sizes=sizes
         )
-        if self._manager is not None:
-            self._manager.append({
-                "kind": "rng", "pos": self._position,
-                "state": rng_state(self._rng),
-            })
+        self.journal_rng()
         return generated
-
-    def journal_rng(self) -> None:
-        """Journal the current RNG position (no-op when not durable).
-
-        :meth:`generate` does this automatically; callers that advance
-        this condenser's generator outside of it — e.g. the serving
-        layer drawing from a model combined across shards — use this
-        hook so recovered draw positions stay exact.
-        """
-        if self._manager is not None:
-            self._manager.append({
-                "kind": "rng", "pos": self._position,
-                "state": rng_state(self._rng),
-            })
-
-    # ------------------------------------------------------------------
-    # Durability
-    # ------------------------------------------------------------------
-
-    @property
-    def position(self) -> int:
-        """Number of completed stream operations (adds and removals).
-
-        After :meth:`recover`, this is the position the upstream feed
-        must resume from (the at-least-once recovery contract).
-        """
-        return self._position
-
-    def checkpoint(self):
-        """Snapshot the full durable state now.
-
-        Returns
-        -------
-        pathlib.Path
-            Path of the written snapshot.
-
-        Raises
-        ------
-        RuntimeError
-            If the condenser was built without ``wal_dir`` or is not
-            fitted.
-        """
-        self._require_fitted()
-        if self._manager is None:
-            raise RuntimeError(
-                "durability is disabled; construct with wal_dir= to "
-                "enable checkpointing"
-            )
-        return self._manager.checkpoint()
-
-    def close(self) -> None:
-        """Flush and close the write-ahead log, if durable.
-
-        Idempotent; :attr:`closed` reports the state so multi-shard
-        owners (the serve plane) can coordinate shutdown per shard.
-        """
-        if self._manager is not None:
-            self._manager.close()
-        self._closed = True
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has run.
-
-        Returns
-        -------
-        bool
-        """
-        return self._closed
 
     @classmethod
     def recover(cls, wal_dir, strategy="random", sampler="uniform",
@@ -389,55 +484,10 @@ class DynamicCondenser:
         repro.durability.RecoveryError
             If the directory holds nothing reconstructible.
         """
-        from repro.durability import DurabilityManager, rebuild_maintainer
-
-        manager = DurabilityManager(
-            wal_dir, checkpoint_every=int(checkpoint_every),
-            fsync_every=int(fsync_every),
+        return cls._recover(
+            wal_dir, checkpoint_every, fsync_every, strategy=strategy,
+            sampler=sampler, batch_size=batch_size,
         )
-        maintainer, position = rebuild_maintainer(manager.recover())
-        condenser = cls(
-            maintainer.k, strategy=strategy, sampler=sampler,
-            random_state=maintainer._rng, batch_size=batch_size,
-        )
-        condenser.wal_dir = wal_dir
-        condenser.checkpoint_every = int(checkpoint_every)
-        condenser.fsync_every = int(fsync_every)
-        condenser._manager = manager
-        condenser._maintainer = maintainer
-        condenser._position = position
-        condenser._attach_durability()
-        return condenser
-
-    def _attach_durability(self) -> None:
-        """Bind the journal and checkpoint provider to the maintainer."""
-        self._ops = []
-        self._maintainer.journal = self._ops.append
-        self._manager.bind(self._durable_state)
-
-    def _durable_state(self) -> dict:
-        """Checkpoint document: maintainer state plus stream position."""
-        return {
-            "maintainer": self._maintainer.state_dict(),
-            "position": self._position,
-        }
-
-    def _flush_ops(self, kind: str = "op") -> None:
-        """Write the journal of one completed source op as a WAL entry.
-
-        Memory is mutated first, then logged: a crash in between loses
-        only the latest operation, which the at-least-once re-feed
-        replays.  Operations that emitted nothing (warm-up buffering)
-        leave no entry — raw records are never durable.  Batched
-        ingestion passes ``kind="batch"`` so a whole block travels as
-        one entry and the resume position stays on a block edge.
-        """
-        if self._manager is None or not self._ops:
-            return
-        entry = {"kind": kind, "pos": self._position,
-                 "ops": list(self._ops)}
-        self._ops.clear()
-        self._manager.append(entry)
 
     @property
     def model_(self) -> CondensedModel:
@@ -469,7 +519,7 @@ class DynamicCondenser:
 
     def _require_fitted(self) -> DynamicGroupMaintainer:
         if self._maintainer is None:
-            raise RuntimeError("condenser is not fitted; call fit() first")
+            raise RuntimeError(self._NOT_READY)
         return self._maintainer
 
 

@@ -31,7 +31,11 @@ from repro.durability.snapshot import (
     prune_snapshots,
     write_snapshot,
 )
-from repro.durability.wal import DEFAULT_SEGMENT_BYTES, WriteAheadLog
+from repro.durability.wal import (
+    DEFAULT_SEGMENT_BYTES,
+    WriteAheadLog,
+    replay_directory,
+)
 from repro.telemetry import DEFAULT_SIZE_BUCKETS
 
 #: Default number of snapshots kept on disk.  More than one, so a torn
@@ -65,6 +69,38 @@ class RecoveredState:
     def is_empty(self) -> bool:
         """Whether the directory held nothing recoverable."""
         return self.snapshot_state is None and not self.entries
+
+
+def _read_recovered(directory):
+    """The newest valid snapshot plus the WAL tail after it.
+
+    Read-only: nothing is repaired or opened for append, so a torn
+    tail is observed, not truncated.  ``last_seq`` is the durable
+    frontier, the sequence number a repairing open resumes after.
+
+    Parameters
+    ----------
+    directory:
+        Durability directory.
+
+    Returns
+    -------
+    (int, RecoveredState)
+        The snapshot's sequence number (0 without one) and the state.
+    """
+    info = latest_snapshot(directory)
+    base_seq = info.seq if info is not None else 0
+    entries = []
+    last_seq = 0
+    for seq, entry in replay_directory(directory):
+        last_seq = seq
+        if seq > base_seq:
+            entries.append((seq, entry))
+    return base_seq, RecoveredState(
+        snapshot_state=info.state if info is not None else None,
+        entries=entries,
+        last_seq=last_seq,
+    )
 
 
 class DurabilityManager:
@@ -193,23 +229,18 @@ class DurabilityManager:
         -------
         RecoveredState
         """
+        self.wal.close()
         with telemetry.span("durability.recover") as recover_span:
-            info = latest_snapshot(self.directory)
-            base_seq = info.seq if info is not None else 0
-            entries = list(self.wal.replay(after_seq=base_seq))
+            base_seq, recovered = _read_recovered(self.directory)
             recover_span.set_attribute("snapshot_seq", base_seq)
-            recover_span.set_attribute("replayed", len(entries))
+            recover_span.set_attribute("replayed", len(recovered.entries))
         telemetry.counter_inc("durability.recoveries")
         telemetry.histogram_observe(
-            "durability.replay_entries", len(entries),
+            "durability.replay_entries", len(recovered.entries),
             buckets=DEFAULT_SIZE_BUCKETS,
         )
         self._publish_disk_gauges()
-        return RecoveredState(
-            snapshot_state=info.state if info is not None else None,
-            entries=entries,
-            last_seq=self.wal.last_seq,
-        )
+        return recovered
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -1,7 +1,8 @@
 """Reconstruction of condenser state from a recovery result.
 
 The durability layer moves opaque JSON; this module knows the entry
-vocabulary the condensers write and turns a
+vocabulary the streaming condensers write — through their one shared
+writer, ``repro.core.condenser._DurableStream`` — and turns a
 :class:`~repro.durability.manager.RecoveredState` back into a live
 :class:`~repro.core.dynamic.DynamicGroupMaintainer` (plus the stream
 position the caller must resume the upstream feed from).
@@ -10,22 +11,27 @@ Entry vocabulary
 ----------------
 ``{"kind": "bootstrap", "pos": p, "state": {...}}``
     Full maintainer state after a (re-)bootstrap — replaces everything
-    accumulated so far.  Written by ``fit()`` and by the sliding-window
-    warm-up; windowed condensers add a ``"window"`` key.
+    accumulated so far.  Written by ``DynamicCondenser.fit()`` and by
+    the sliding-window warm-up; windowed condensers add a ``"window"``
+    key (snapshots carry it too).
 ``{"kind": "op", "pos": p, "ops": [...]}``
     One completed source operation and the journal sub-operations it
     produced (``founding`` / ``absorb`` / ``split`` / ``remove`` /
     ``merge``, and ``ingest`` in logs written before 1.11), applied via
     :meth:`~repro.core.dynamic.DynamicGroupMaintainer.apply_ops`.
-    A sliding-window push that both adds and expires is one atomic
-    ``op`` entry, so recovery can never observe a half-applied push.
+    Written per ``DynamicCondenser.partial_remove`` record and per
+    sliding-window push; a push that both adds and expires is one
+    atomic ``op`` entry, so recovery can never observe a half-applied
+    push.
 ``{"kind": "batch", "pos": p, "ops": [...]}``
-    One ingest block (``ingest_block``, one record per block at the
-    default ``batch_size=1``) and every sub-operation it produced
-    (``founding`` / ``absorb`` / ``split``).  Replayed
-    exactly like an ``op`` entry; the distinct kind records the block
-    boundary, so the position always advances a whole block at a time
-    and the at-least-once re-feed resumes on a block edge.
+    One ``DynamicCondenser.partial_fit`` ingest block
+    (``ingest_block``, one record per block at the default
+    ``batch_size=1``) and every sub-operation it produced
+    (``founding`` / ``absorb`` / ``split``).  Replayed exactly like an
+    ``op`` entry; the distinct kind records the block boundary, so the
+    position always advances a whole block at a time and the
+    at-least-once re-feed resumes on a block edge.  Logs written before
+    1.17 may also hold sliding-window fill-phase ``batch`` entries.
 ``{"kind": "rng", "pos": p, "state": {...}}``
     The generator position after an anonymized-data generation, so
     post-recovery draws continue the original sequence bit for bit.
@@ -137,12 +143,10 @@ def rebuild_maintainer(recovered: RecoveredState):
     from repro.linalg.rng import restore_rng_state
 
     maintainer = None
-    position = 0
     if recovered.snapshot_state is not None:
         maintainer = DynamicGroupMaintainer.from_state(
             recovered.snapshot_state["maintainer"]
         )
-        position = int(recovered.snapshot_state.get("position", 0))
     for seq, entry in recovered.entries:
         kind = entry.get("kind")
         if kind == "bootstrap":
@@ -165,10 +169,9 @@ def rebuild_maintainer(recovered: RecoveredState):
             raise RecoveryError(
                 f"WAL entry {seq} has unknown kind {kind!r}"
             )
-        position = int(entry.get("pos", position))
     if maintainer is None:
         raise RecoveryError(
             "nothing to recover: the directory holds no valid snapshot "
             "and no WAL entries"
         )
-    return maintainer, position
+    return maintainer, recovered_position(recovered)

@@ -21,13 +21,14 @@ from collections import deque
 import numpy as np
 
 from repro import telemetry
+from repro.core.condensation import require_positive_int
+from repro.core.condenser import _DurableStream
 from repro.core.dynamic import DynamicGroupMaintainer
 from repro.core.generation import generate_anonymized_data
 from repro.core.statistics import CondensedModel
-from repro.linalg.rng import check_random_state
 
 
-class SlidingWindowCondenser:
+class SlidingWindowCondenser(_DurableStream):
     """Condensed statistics over the last ``window`` stream records.
 
     Parameters
@@ -60,39 +61,31 @@ class SlidingWindowCondenser:
         at-least-once re-feed replays) for ingest throughput.
     """
 
+    _NOT_READY = (
+        "window is still warming up: no condensed statistics exist to "
+        "checkpoint (raw records are never durable)"
+    )
+
     def __init__(self, k: int, window: int, sampler="uniform",
                  random_state=None, wal_dir=None,
                  checkpoint_every: int = 0, fsync_every: int = 1):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if window < 2 * k:
+        self.window = require_positive_int(window, "window")
+        if self.window < 2 * k:
             raise ValueError(
                 f"window must be at least 2k={2 * k}, got {window}"
             )
-        self.k = int(k)
-        self.window = int(window)
-        self.sampler = sampler
-        self.wal_dir = wal_dir
-        self.checkpoint_every = int(checkpoint_every)
-        self.fsync_every = int(fsync_every)
-        self._rng = check_random_state(random_state)
+        super().__init__(k, sampler, random_state, wal_dir,
+                         checkpoint_every, fsync_every)
         self._buffer: deque = deque()
-        self._maintainer: DynamicGroupMaintainer | None = None
-        self._position = 0
-        self._ops: list = []
         self._window_restored = True
-        self._manager = None
-        if wal_dir is not None:
-            from repro.durability import DurabilityManager
-
-            self._manager = DurabilityManager(
-                wal_dir, checkpoint_every=self.checkpoint_every,
-                fsync_every=self.fsync_every,
-            )
-            self._manager.bind(self._durable_state)
 
     def push(self, record: np.ndarray) -> None:
-        """Ingest one stream record, expiring the oldest when full."""
+        """Ingest one stream record, expiring the oldest when full.
+
+        The record is checked (a finite vector as wide as the window's
+        records) before anything changes, so a rejected record leaves
+        the window, the statistics and the journal as they were.
+        """
         if not self._window_restored:
             raise RuntimeError(
                 "recovered condenser: call restore_window() with the "
@@ -104,6 +97,13 @@ class SlidingWindowCondenser:
             raise ValueError(
                 f"record must be a vector, got shape {record.shape}"
             )
+        if self._buffer and record.shape[0] != self._buffer[0].shape[0]:
+            raise ValueError(
+                f"expected {self._buffer[0].shape[0]} attributes, "
+                f"got {record.shape[0]}"
+            )
+        if not np.isfinite(record).all():
+            raise ValueError("record contains NaN or infinite values")
         # Trusted-side window: the module docstring's trust-model note
         # applies; only aggregates ever leave this class.
         # repro-lint: disable-next=PRIV-001 -- transient window buffer
@@ -116,13 +116,7 @@ class SlidingWindowCondenser:
                 self._maintainer = DynamicGroupMaintainer(
                     self.k, initial_data=initial, random_state=self._rng
                 )
-                if self._manager is not None:
-                    self._attach_journal()
-                    self._manager.append({
-                        "kind": "bootstrap", "pos": self._position,
-                        "state": self._maintainer.state_dict(),
-                        "window": self.window,
-                    })
+                self._journal_bootstrap()
             return
         self._maintainer.add(record)
         if len(self._buffer) > self.window:
@@ -132,66 +126,13 @@ class SlidingWindowCondenser:
         self._position += 1
         self._flush_ops()
 
-    def push_stream(self, records, batch_size: int = 1) -> None:
+    def push_stream(self, records) -> None:
         """Ingest an iterable of records in arrival order.
 
-        Parameters
-        ----------
-        records:
-            Records in arrival order; 2-D array when batching.
-        batch_size:
-            With the default ``1``, records are pushed one at a time —
-            bit-identical to looping :meth:`push`.  Larger values
-            vectorize the *fill phase*: while the window has headroom
-            (no expiry can occur inside a block) whole blocks are
-            absorbed through
-            :meth:`~repro.core.dynamic.DynamicGroupMaintainer.ingest_block`
-            and journaled as one ``batch`` WAL entry each.  Warm-up
-            and the steady state (every arrival expires a record) fall
-            back to per-record pushes, so expiry ordering is
-            unchanged.
+        Exactly a loop over :meth:`push`.
         """
-        if batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1, got {batch_size}"
-            )
-        if batch_size == 1:
-            for record in records:
-                self.push(record)
-            return
-        if not self._window_restored:
-            raise RuntimeError(
-                "recovered condenser: call restore_window() with the "
-                f"last {min(self._position, self.window)} stream "
-                "records before pushing"
-            )
-        records = np.asarray(records, dtype=float)
-        if records.ndim != 2:
-            raise ValueError(
-                f"records must be 2-D when batching, got shape "
-                f"{records.shape}"
-            )
-        if not np.isfinite(records).all():
-            raise ValueError("records contain NaN or infinite values")
-        consumed = 0
-        while consumed < records.shape[0]:
-            headroom = self.window - len(self._buffer)
-            if self._maintainer is None or headroom <= 0:
-                self.push(records[consumed])
-                consumed += 1
-                continue
-            block = records[consumed:consumed + min(batch_size, headroom)]
-            for row in block:
-                # Same trust-model note as push(): transient window only.
-                # repro-lint: disable-next=PRIV-001 -- transient window buffer
-                self._buffer.append(np.array(row, dtype=float))
-            telemetry.counter_inc(
-                "stream.window.pushed", block.shape[0]
-            )
-            self._maintainer.ingest_block(block)
-            self._position += block.shape[0]
-            consumed += block.shape[0]
-            self._flush_ops(kind="batch")
+        for record in records:
+            self.push(record)
 
     @property
     def n_seen(self) -> int:
@@ -224,53 +165,12 @@ class SlidingWindowCondenser:
             generated = generate_anonymized_data(
                 model, sampler=self.sampler, random_state=self._rng
             )
-        if self._manager is not None and self._maintainer is not None:
-            from repro.linalg.rng import rng_state
-
-            self._manager.append({
-                "kind": "rng", "pos": self._position,
-                "state": rng_state(self._rng),
-            })
+        self.journal_rng()
         return generated
 
     # ------------------------------------------------------------------
     # Durability
     # ------------------------------------------------------------------
-
-    @property
-    def position(self) -> int:
-        """Number of completed pushes (including warm-up pushes).
-
-        After :meth:`recover`, this is the position the upstream feed
-        must resume from (the at-least-once recovery contract).
-        """
-        return self._position
-
-    def checkpoint(self):
-        """Snapshot the full durable state now.
-
-        Raises
-        ------
-        RuntimeError
-            If durability is disabled or the window is still warming up
-            (only aggregates are ever durable, and none exist yet).
-        """
-        if self._manager is None:
-            raise RuntimeError(
-                "durability is disabled; construct with wal_dir= to "
-                "enable checkpointing"
-            )
-        if self._maintainer is None:
-            raise RuntimeError(
-                "window is still warming up: no condensed statistics "
-                "exist to checkpoint (raw records are never durable)"
-            )
-        return self._manager.checkpoint()
-
-    def close(self) -> None:
-        """Flush and close the write-ahead log, if durable."""
-        if self._manager is not None:
-            self._manager.close()
 
     @classmethod
     def recover(cls, wal_dir, sampler="uniform",
@@ -291,39 +191,27 @@ class SlidingWindowCondenser:
             If the directory holds nothing reconstructible, or was not
             written by a sliding-window condenser.
         """
-        from repro.durability import (
-            DurabilityManager,
-            RecoveryError,
-            rebuild_maintainer,
-            recovered_window,
-        )
+        condenser = cls._recover(wal_dir, checkpoint_every, fsync_every,
+                                 sampler=sampler)
+        condenser._window_restored = False
+        return condenser
 
-        manager = DurabilityManager(
-            wal_dir, checkpoint_every=int(checkpoint_every),
-            fsync_every=int(fsync_every),
-        )
-        recovered = manager.recover()
+    @staticmethod
+    def _recovered_settings(recovered) -> dict:
+        """The recorded window size; a directory without one is refused."""
+        from repro.durability import RecoveryError, recovered_window
+
         window = recovered_window(recovered)
         if window is None:
             raise RecoveryError(
                 "directory was not written by a sliding-window "
                 "condenser: no window size recorded"
             )
-        maintainer, position = rebuild_maintainer(recovered)
-        condenser = cls(
-            maintainer.k, window, sampler=sampler,
-            random_state=maintainer._rng,
-        )
-        condenser.wal_dir = wal_dir
-        condenser.checkpoint_every = int(checkpoint_every)
-        condenser.fsync_every = int(fsync_every)
-        condenser._manager = manager
-        condenser._manager.bind(condenser._durable_state)
-        condenser._maintainer = maintainer
-        condenser._position = position
-        condenser._window_restored = False
-        condenser._attach_journal()
-        return condenser
+        return {"window": window}
+
+    def _recorded_settings(self) -> dict:
+        """The window size, kept in ``bootstrap`` entries and snapshots."""
+        return {"window": self.window}
 
     def restore_window(self, records) -> "SlidingWindowCondenser":
         """Refill the window buffer after :meth:`recover`.
@@ -358,36 +246,6 @@ class SlidingWindowCondenser:
             self._buffer.append(np.array(row, dtype=float))
         self._window_restored = True
         return self
-
-    def _attach_journal(self) -> None:
-        """Route maintainer sub-operations into the pending-op list."""
-        self._ops = []
-        self._maintainer.journal = self._ops.append
-
-    def _durable_state(self) -> dict:
-        """Checkpoint document: statistics, position, and window size."""
-        return {
-            "maintainer": self._maintainer.state_dict(),
-            "position": self._position,
-            "window": self.window,
-        }
-
-    def _flush_ops(self, kind: str = "op") -> None:
-        """Write one completed push's journal as a single WAL entry.
-
-        A push that both adds and expires is one atomic entry, so
-        recovery can never observe a half-applied push.  Memory is
-        mutated first, then logged: a crash in between loses only the
-        latest push, which the at-least-once re-feed replays.  The
-        fill-phase batch path passes ``kind="batch"`` so a whole block
-        travels as one entry.
-        """
-        if self._manager is None or not self._ops:
-            return
-        entry = {"kind": kind, "pos": self._position,
-                 "ops": list(self._ops)}
-        self._ops.clear()
-        self._manager.append(entry)
 
     def __repr__(self) -> str:
         return (
