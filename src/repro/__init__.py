@@ -44,7 +44,7 @@ from repro.metrics import covariance_compatibility
 from repro.parallel import condense_sharded
 from repro.privacy import linkage_attack, privacy_report
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 __all__ = [
     "ClasswiseCondenser",

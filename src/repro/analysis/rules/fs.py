@@ -100,9 +100,9 @@ _FS002_RENAME_MESSAGE = (
 )
 _FS003_MESSAGE = (
     "{name}() parses a payload with no preceding CRC validation in "
-    "{function}(); durability formats are CRC-framed — check "
-    "zlib.crc32 over the body before trusting it (see decode_line / "
-    "read_snapshot)"
+    "{function}(); durability formats are CRC-framed — decode them "
+    "with repro.durability._files.decode_frame, which checks "
+    "zlib.crc32 over the body before trusting it"
 )
 
 

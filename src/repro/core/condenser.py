@@ -71,9 +71,7 @@ class StaticCondenser:
     def __init__(self, k: int, strategy="random", sampler="uniform",
                  random_state=None, n_shards=None, n_workers=None,
                  checkpoint_dir=None):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = int(k)
+        self.k = require_positive_int(k, "k")
         self.strategy = strategy
         self.sampler = sampler
         self.n_shards = n_shards
@@ -370,8 +368,7 @@ class DynamicCondenser(_DurableStream):
                  random_state=None, wal_dir=None,
                  checkpoint_every: int = 0, fsync_every: int = 1,
                  batch_size: int = 1):
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        require_positive_int(batch_size, "batch_size")
         super().__init__(k, sampler, random_state, wal_dir,
                          checkpoint_every, fsync_every)
         self.batch_size = int(batch_size)
@@ -565,10 +562,8 @@ class ClasswiseCondenser:
                  sampler="uniform", small_class_policy: str = "error",
                  random_state=None, n_shards=None, n_workers=None,
                  batch_size: int = 1):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        self.k = require_positive_int(k, "k")
+        require_positive_int(batch_size, "batch_size")
         if mode not in ("static", "dynamic"):
             raise ValueError(
                 f"mode must be 'static' or 'dynamic', got {mode!r}"
@@ -578,7 +573,6 @@ class ClasswiseCondenser:
                 "small_class_policy must be 'error' or 'single_group', "
                 f"got {small_class_policy!r}"
             )
-        self.k = int(k)
         self.mode = mode
         self.strategy = strategy
         self.sampler = sampler

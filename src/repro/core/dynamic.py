@@ -33,7 +33,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro import telemetry
-from repro.core.condensation import create_condensed_groups
+from repro.core.condensation import (
+    create_condensed_groups,
+    require_positive_int,
+)
 from repro.core.statistics import (
     CondensedModel,
     GroupStatistics,
@@ -159,9 +162,7 @@ class DynamicGroupMaintainer:
         strategy="random",
         random_state=None,
     ):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = int(k)
+        self.k = require_positive_int(k, "k")
         self._rng = check_random_state(random_state)
         self._groups: list[GroupStatistics] = []
         self._centroids: np.ndarray | None = None

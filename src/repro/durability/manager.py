@@ -26,6 +26,7 @@ from pathlib import Path
 
 from repro import telemetry
 from repro.durability.snapshot import (
+    _seq_of,
     latest_snapshot,
     list_snapshots,
     prune_snapshots,
@@ -140,6 +141,13 @@ class DurabilityManager:
             self.directory, max_segment_bytes=max_segment_bytes,
             fsync_every=fsync_every,
         )
+        if self.wal.last_seq == 0:
+            # A log with no entry left beside a snapshot (1.17.0 could
+            # prune every segment) numbers on after the snapshot, so
+            # recovery replays the new entries instead of skipping them.
+            info = latest_snapshot(self.directory)
+            if info is not None:
+                self.wal.last_seq = info.seq
         self._state_provider = None
         self._appends_since_checkpoint = 0
 
@@ -206,11 +214,9 @@ class DurabilityManager:
         self.wal.sync()
         path = write_snapshot(self.directory, state, seq=self.wal.last_seq)
         prune_snapshots(self.directory, keep=self.keep_snapshots)
-        oldest = self._oldest_snapshot_seq()
-        if oldest is not None:
-            # Replay may have to fall back to the oldest retained
-            # snapshot, so only segments it covers are prunable.
-            self.wal.prune(oldest)
+        # Replay may have to fall back to the oldest retained snapshot,
+        # so only segments it covers are prunable.
+        self.wal.prune(_seq_of(list_snapshots(self.directory)[0]))
         self._appends_since_checkpoint = 0
         self._publish_disk_gauges()
         return path
@@ -283,14 +289,6 @@ class DurabilityManager:
         telemetry.gauge_set(
             "durability.snapshot_bytes", usage["snapshot_bytes"]
         )
-
-    def _oldest_snapshot_seq(self) -> int | None:
-        """Sequence number of the oldest retained snapshot file."""
-        snapshots = list_snapshots(self.directory)
-        if not snapshots:
-            return None
-        stem = snapshots[0].stem
-        return int(stem.rsplit("-", 1)[1])
 
     def __enter__(self):
         return self

@@ -22,15 +22,13 @@ Two properties keep this safe:
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import re
-import zlib
 from pathlib import Path
 
 import numpy as np
 
 from repro import telemetry
+from repro.durability._files import encode_frame, publish, read_frame
 
 #: Shard checkpoint filename pattern.
 _SHARD_PATTERN = re.compile(r"^shard-(\d{5})\.json$")
@@ -74,9 +72,9 @@ class ShardCheckpointStore:
 
     Files live under ``directory/<fingerprint-prefix>/`` so different
     run configurations sharing a checkpoint directory never collide.
-    Each file uses the same CRC-framed JSON format as the snapshot
-    writer and is written atomically (tmp + rename), so a crash during
-    a store leaves at worst an ignorable partial tmp file.
+    Each file is one CRC frame, published atomically (tmp + fsync +
+    rename) like a snapshot (:mod:`repro.durability._files`), so a
+    crash during a store leaves at worst an ignorable partial tmp file.
 
     Parameters
     ----------
@@ -116,15 +114,7 @@ class ShardCheckpointStore:
                 for indices in lineage
             ],
         }
-        body = json.dumps(payload, separators=(",", ":"))
-        crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-        final = self._path(shard_index)
-        temporary = final.with_suffix(".json.tmp")
-        with open(temporary, "w") as handle:
-            handle.write(f"{crc:08x} {body}")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temporary, final)
+        publish(self._path(shard_index), encode_frame(payload))
         telemetry.counter_inc("durability.shard_checkpoints")
 
     def load(self, shard_index: int):
@@ -144,26 +134,9 @@ class ShardCheckpointStore:
         """
         from repro.core.statistics import GroupStatistics
 
-        path = self._path(shard_index)
-        try:
-            document = path.read_text()
-        except OSError:
-            return None
-        if len(document) < 10 or document[8] != " ":
-            return None
-        checksum, body = document[:8], document[9:]
-        try:
-            expected = int(checksum, 16)
-        except ValueError:
-            return None
-        if zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF != expected:
-            return None
-        try:
-            payload = json.loads(body)
-        except ValueError:
-            return None
+        payload = read_frame(self._path(shard_index))
         if (
-            not isinstance(payload, dict)
+            payload is None
             or payload.get("fingerprint") != self.fingerprint
             or payload.get("shard") != int(shard_index)
         ):

@@ -9,11 +9,11 @@ makes checkpointing the dynamic regime trivially safe.
 
 Snapshots are crash-safe by construction:
 
-* the document is written to a ``*.tmp`` file, flushed and ``fsync``\\ ed,
-  then atomically renamed into place (``os.replace``), so a reader
+* the document is published atomically (``*.tmp``, ``fsync``,
+  ``os.replace``; :func:`repro.durability._files.publish`), so a reader
   never observes a half-written snapshot under the final name;
-* the payload carries a CRC32 so a torn or bit-rotted file is detected
-  and skipped;
+* the document is one CRC frame (:mod:`repro.durability._files`), so a
+  torn or bit-rotted file is detected and skipped;
 * :func:`latest_snapshot` returns the newest file that passes
   validation, falling back to older ones, so a corrupt newest snapshot
   costs only a longer WAL replay, never the state.
@@ -21,15 +21,13 @@ Snapshots are crash-safe by construction:
 
 from __future__ import annotations
 
-import json
-import os
 import re
 import time
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro import telemetry
+from repro.durability._files import encode_frame, publish, read_frame
 from repro.telemetry import DEFAULT_SECONDS_BUCKETS, DEFAULT_SIZE_BUCKETS
 
 #: Snapshot format marker so future revisions can migrate old files.
@@ -102,25 +100,15 @@ def write_snapshot(directory, state: dict, seq: int) -> Path:
     """
     if seq < 0:
         raise ValueError(f"seq must be non-negative, got {seq}")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    body = json.dumps(
+    document = encode_frame(
         {"format_version": SNAPSHOT_FORMAT_VERSION, "seq": seq,
-         "state": state},
-        separators=(",", ":"),
+         "state": state}
     )
-    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    document = f"{crc:08x} {body}"
     final = snapshot_path(directory, seq)
-    temporary = final.with_suffix(".json.tmp")
     started = time.perf_counter()
     with telemetry.span("durability.snapshot") as snapshot_span:
         snapshot_span.set_attribute("seq", seq)
-        with open(temporary, "w") as handle:
-            handle.write(document)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temporary, final)
+        publish(final, document)
         snapshot_span.set_attribute("bytes", len(document))
     telemetry.counter_inc("durability.snapshots")
     telemetry.histogram_observe(
@@ -149,25 +137,9 @@ def read_snapshot(path) -> SnapshotInfo | None:
         torn, CRC-corrupt, or structurally invalid.
     """
     path = Path(path)
-    try:
-        document = path.read_text()
-    except OSError:
-        return None
-    if len(document) < 10 or document[8] != " ":
-        return None
-    checksum, body = document[:8], document[9:]
-    try:
-        expected = int(checksum, 16)
-    except ValueError:
-        return None
-    if zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF != expected:
-        return None
-    try:
-        payload = json.loads(body)
-    except ValueError:
-        return None
+    payload = read_frame(path)
     if (
-        not isinstance(payload, dict)
+        payload is None
         or payload.get("format_version") != SNAPSHOT_FORMAT_VERSION
         or not isinstance(payload.get("seq"), int)
         or not isinstance(payload.get("state"), dict)
@@ -175,6 +147,11 @@ def read_snapshot(path) -> SnapshotInfo | None:
         return None
     return SnapshotInfo(path=path, seq=payload["seq"],
                         state=payload["state"])
+
+
+def _seq_of(path) -> int:
+    """WAL sequence number covered by the snapshot file at ``path``."""
+    return int(_SNAPSHOT_PATTERN.match(Path(path).name).group(1))
 
 
 def list_snapshots(directory) -> list:

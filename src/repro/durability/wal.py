@@ -14,7 +14,8 @@ alike.
 On-disk format
 --------------
 The log is a directory of size-rotated segment files named
-``wal-<segment>.log``.  Each line is::
+``wal-<segment>.log``.  Each line is one CRC frame of
+:mod:`repro.durability._files` plus a newline::
 
     <crc32-hex-8> <json-entry>\\n
 
@@ -32,14 +33,13 @@ so checkpoint-driven pruning can unlink whole files.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import time
-import zlib
 from pathlib import Path
 
 from repro import telemetry
+from repro.durability._files import decode_frame, encode_frame
 from repro.telemetry import DEFAULT_SECONDS_BUCKETS
 
 #: Segment filename pattern: ``wal-<six-digit-segment>.log``.
@@ -72,9 +72,7 @@ def encode_entry(entry: dict) -> str:
     str
         ``"<crc32-hex-8> <json>"``.
     """
-    body = json.dumps(entry, separators=(",", ":"))
-    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    return f"{crc:08x} {body}"
+    return encode_frame(entry)
 
 
 def decode_line(line: str) -> dict | None:
@@ -94,23 +92,7 @@ def decode_line(line: str) -> dict | None:
     """
     if not line.endswith("\n"):
         return None
-    line = line[:-1]
-    if len(line) < 10 or line[8] != " ":
-        return None
-    checksum, body = line[:8], line[9:]
-    try:
-        expected = int(checksum, 16)
-    except ValueError:
-        return None
-    if zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF != expected:
-        return None
-    try:
-        entry = json.loads(body)
-    except ValueError:
-        return None
-    if not isinstance(entry, dict):
-        return None
-    return entry
+    return decode_frame(line[:-1])
 
 
 def list_segments(directory) -> list:
@@ -393,7 +375,9 @@ class WriteAheadLog:
 
         Called after a checkpoint at ``upto_seq``: the snapshot now
         covers those entries, so the segments are dead weight.  The
-        active segment is never pruned.
+        newest segment on disk is never pruned: right after a rotation
+        it holds the last written entry, which a reopened log resumes
+        numbering after.
 
         Parameters
         ----------
@@ -406,13 +390,7 @@ class WriteAheadLog:
             Number of segments removed.
         """
         removed = 0
-        segments = self.segments()
-        active = (
-            self.directory / _segment_name(self._segment_index)
-        )
-        for segment in segments:
-            if segment == active:
-                continue
+        for segment in self.segments()[:-1]:
             last = self._last_seq_in(segment)
             if last is not None and last <= upto_seq:
                 segment.unlink()

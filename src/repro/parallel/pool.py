@@ -15,8 +15,6 @@ with the lifecycle a long-running anonymization plane actually wants:
   ``SIGKILL``) is detected through its pipe, replaced, and its
   in-flight task is transparently resubmitted up to ``restart_limit``
   times (``parallel.pool.respawns`` counts replacements);
-* **idle reaping** — workers idle longer than ``idle_timeout``
-  seconds are retired; the next burst of work respawns them;
 * **explicit close** — ``close()`` / ``with`` tears everything down;
   the shared pool is additionally closed at interpreter exit.
 
@@ -27,9 +25,9 @@ function* are shipped back and delivered to the caller (retry policy
 belongs to the caller); only infrastructure failures (worker death)
 are retried inside the pool.
 
-Thread safety: lifecycle calls (``submit``/``close``/``reap_idle``)
-are serialized by an internal lock; result consumption is
-single-consumer by design (one coordinator drains one run).
+Thread safety: lifecycle calls (``submit``/``close``) are serialized
+by an internal lock; result consumption is single-consumer by design
+(one coordinator drains one run).
 """
 
 from __future__ import annotations
@@ -154,13 +152,12 @@ class _Task:
 class _Worker:
     """Parent-side handle to one worker process."""
 
-    __slots__ = ("process", "conn", "task", "idle_since")
+    __slots__ = ("process", "conn", "task")
 
     def __init__(self, process, conn):
         self.process = process
         self.conn = conn
         self.task = None
-        self.idle_since = time.monotonic()
 
 
 class WorkerPool:
@@ -169,22 +166,18 @@ class WorkerPool:
     Parameters
     ----------
     n_workers:
-        Maximum concurrent worker processes.
-    idle_timeout:
-        Seconds a worker may sit idle before being retired; ``None``
-        (default) keeps idle workers alive until :meth:`close`.
+        Maximum concurrent worker processes; idle workers stay alive
+        until :meth:`close`.
     restart_limit:
         How many times one task may be resubmitted after losing its
         worker before it is delivered as a :class:`WorkerCrashError`.
     """
 
-    def __init__(self, n_workers: int, idle_timeout=None,
-                 restart_limit: int = 2):
+    def __init__(self, n_workers: int, restart_limit: int = 2):
         n_workers = int(n_workers)
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers
-        self.idle_timeout = idle_timeout
         self.restart_limit = int(restart_limit)
         self._context = multiprocessing.get_context()
         self._workers: list = []
@@ -275,26 +268,6 @@ class WorkerPool:
         with self._lock:
             self.n_workers = max(self.n_workers, int(n_workers))
 
-    def reap_idle(self) -> int:
-        """Retire workers idle beyond ``idle_timeout``.
-
-        Returns
-        -------
-        int
-            Number of workers retired.
-        """
-        if self.idle_timeout is None:
-            return 0
-        now = time.monotonic()
-        retired = 0
-        with self._lock:
-            for worker in list(self._workers):
-                if (worker.task is None
-                        and now - worker.idle_since > self.idle_timeout):
-                    self._retire(worker)
-                    retired += 1
-        return retired
-
     def close(self) -> None:
         """Stop every worker and reject further submissions; idempotent."""
         with self._lock:
@@ -354,7 +327,6 @@ class WorkerPool:
             )
             self._queue.append(task)
             self._outstanding += 1
-            self.reap_idle()
             self._sweep_dead_idle()
             self._dispatch()
             return task_id
@@ -487,7 +459,6 @@ class WorkerPool:
                         continue
                     task = worker.task
                     worker.task = None
-                    worker.idle_since = time.monotonic()
                     if task is None:  # pragma: no cover - defensive
                         continue
                     if status == "ok":
@@ -516,7 +487,7 @@ _SHARED_POOL: list = []
 _SHARED_POOL_LOCK = threading.Lock()
 
 
-def get_shared_pool(n_workers: int, idle_timeout=None) -> WorkerPool:
+def get_shared_pool(n_workers: int) -> WorkerPool:
     """Return the process-wide warm pool, creating it on first use.
 
     Successive ``condense_sharded`` calls reuse the same pool (and its
@@ -527,8 +498,6 @@ def get_shared_pool(n_workers: int, idle_timeout=None) -> WorkerPool:
     ----------
     n_workers:
         Minimum worker ceiling the caller needs.
-    idle_timeout:
-        Idle-reap threshold applied when the pool is first created.
 
     Returns
     -------
@@ -541,7 +510,7 @@ def get_shared_pool(n_workers: int, idle_timeout=None) -> WorkerPool:
             return pool
         # repro-lint: disable-next=DET-003 -- coordinator-only registry; workers never reach here (condense_sharded is never nested inside a shard)
         _SHARED_POOL.clear()
-        pool = WorkerPool(n_workers, idle_timeout=idle_timeout)
+        pool = WorkerPool(n_workers)
         # repro-lint: disable-next=DET-003 -- coordinator-only registry; workers never reach here (condense_sharded is never nested inside a shard)
         _SHARED_POOL.append(pool)
         return pool

@@ -19,7 +19,6 @@ PRIV-003 sanctions this module for that reason (see
 from __future__ import annotations
 
 import json
-import os
 import time
 import urllib.error
 import urllib.request
@@ -28,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.datasets import load_twin
+from repro.durability._files import publish
 
 #: Default benchmark artifact filename.
 DEFAULT_REPORT_PATH = "BENCH_serve.json"
@@ -228,13 +228,5 @@ def write_report(report: dict, path=DEFAULT_REPORT_PATH) -> Path:
         The written path.
     """
     final = Path(path)
-    if final.parent != Path("."):
-        final.parent.mkdir(parents=True, exist_ok=True)
-    temporary = final.with_suffix(final.suffix + ".tmp")
-    with open(temporary, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temporary, final)
+    publish(final, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return final

@@ -48,7 +48,6 @@ lock while snapshotting, which is the regression behind
 from __future__ import annotations
 
 import json
-import os
 import threading
 from contextlib import ExitStack
 from pathlib import Path
@@ -56,9 +55,11 @@ from pathlib import Path
 import numpy as np
 
 from repro import telemetry
+from repro.core.condensation import require_positive_int
 from repro.core.condenser import DynamicCondenser
 from repro.core.generation import generate_anonymized_data
 from repro.core.statistics import CondensedModel
+from repro.durability._files import publish
 from repro.linalg.rng import (
     rng_from_seed_sequence,
     spawn_seed_sequences,
@@ -148,12 +149,8 @@ class ShardedCondensationService:
                  bootstrap_size: int | None = None,
                  checkpoint_every: int = 256, fsync_every: int = 1,
                  random_state: int = 0):
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.n_shards = int(n_shards)
-        self.k = int(k)
+        self.n_shards = require_positive_int(n_shards, "n_shards")
+        self.k = require_positive_int(k, "k")
         self.root = None if root is None else Path(root)
         self.strategy = strategy
         self.sampler = sampler
@@ -304,15 +301,7 @@ class ShardedCondensationService:
         path = self._router_path()
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        document = json.dumps(self._router.to_state(), sort_keys=True)
-        temporary = path.with_suffix(".json.tmp")
-        with open(temporary, "w", encoding="utf-8") as handle:
-            handle.write(document)
-            handle.flush()
-            # repro-lint: disable-next=THR-003 -- one-shot router publication at bootstrap; durable before any traffic is routed
-            os.fsync(handle.fileno())
-        os.replace(temporary, path)
+        publish(path, json.dumps(self._router.to_state(), sort_keys=True))
 
     # ------------------------------------------------------------------
     # Traffic

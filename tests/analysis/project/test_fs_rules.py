@@ -207,22 +207,23 @@ class TestVandalizedSnapshotWriter:
     def test_stripping_the_protocol_from_the_real_writer_is_caught(
         self, tmp_path
     ):
-        # The canonical canary: take the real atomic snapshot writer
-        # and break its protocol; the FS pass must notice both the
-        # missing fsync and the downgraded rename.
+        # The canonical canary: take the real atomic writer (the one
+        # publish() every snapshot, shard checkpoint and router
+        # document goes through) and break its protocol; the FS pass
+        # must notice both the missing fsync and the downgraded rename.
         tree = tmp_path / "repro"
         shutil.copytree(REPO_ROOT / "src" / "repro", tree)
-        snapshot = tree / "durability" / "snapshot.py"
-        source = snapshot.read_text(encoding="utf-8")
+        writer = tree / "durability" / "_files.py"
+        source = writer.read_text(encoding="utf-8")
         assert "os.fsync(handle.fileno())" in source
         assert "os.replace(temporary, final)" in source
         source = source.replace(
-            "            os.fsync(handle.fileno())\n", ""
+            "        os.fsync(handle.fileno())\n", ""
         )
         source = source.replace(
             "os.replace(temporary, final)", "os.rename(temporary, final)"
         )
-        snapshot.write_text(source, encoding="utf-8")
+        writer.write_text(source, encoding="utf-8")
         contexts = [
             ModuleContext.from_source(
                 path.read_text(encoding="utf-8"), str(path)

@@ -228,6 +228,10 @@ class TestBatchValidation:
             DynamicCondenser(5, batch_size=0)
         with pytest.raises(ValueError, match="batch_size"):
             ClasswiseCondenser(5, batch_size=-1)
+        with pytest.raises(ValueError, match="batch_size"):
+            DynamicCondenser(5, batch_size=2.5)
+        with pytest.raises(ValueError, match="batch_size"):
+            ClasswiseCondenser(5, batch_size=2.5)
 
 
 def journaled_target(maintainer, record, path):

@@ -44,6 +44,8 @@ class TestStaticCondenser:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             StaticCondenser(k=0)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            StaticCondenser(k=2.7)
 
     def test_model_exposed(self, gaussian_data):
         condenser = StaticCondenser(k=10, random_state=0).fit(gaussian_data)
@@ -154,6 +156,12 @@ class TestClasswiseCondenser:
     def test_invalid_mode(self):
         with pytest.raises(ValueError, match="mode"):
             ClasswiseCondenser(k=5, mode="batch")
+
+    def test_invalid_k(self):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            ClasswiseCondenser(k=0)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            ClasswiseCondenser(k=2.7)
 
     def test_average_group_size(self, labelled_blobs):
         data, labels = labelled_blobs

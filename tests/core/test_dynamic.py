@@ -280,6 +280,8 @@ class TestDynamicGroupMaintainer:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             DynamicGroupMaintainer(k=0)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            DynamicGroupMaintainer(k=2.7)
 
     def test_metadata_in_snapshot(self, gaussian_data, rng):
         maintainer = DynamicGroupMaintainer(

@@ -6,6 +6,8 @@ from repro.durability import (
     DurabilityManager,
     latest_snapshot,
     list_snapshots,
+    list_segments,
+    write_snapshot,
 )
 
 
@@ -69,6 +71,41 @@ class TestCheckpointing:
             # fall back past a torn newest snapshot.
             replayed = list(manager.wal.replay(after_seq=12))
             assert [seq for seq, __ in replayed] == [13, 14, 15, 16]
+
+
+class TestRotation:
+    def test_checkpoint_right_after_rotation_keeps_the_log(self, tmp_path):
+        # Every entry outgrows a 10-byte segment, so each append rotates
+        # and the checkpoint lands before the next segment exists.
+        settings = dict(max_segment_bytes=10, keep_snapshots=1)
+        with DurabilityManager(tmp_path, **settings) as manager:
+            manager.bind(lambda: {"position": manager.wal.last_seq})
+            for position in range(3):
+                manager.append({"pos": position})
+            manager.checkpoint()
+        assert [path.name for path in list_segments(tmp_path)] == [
+            "wal-000002.log"
+        ]
+        with DurabilityManager(tmp_path, **settings) as manager:
+            assert manager.wal.last_seq == 3
+            assert manager.append({"pos": 3}) == 4
+        with DurabilityManager(tmp_path) as manager:
+            recovered = manager.recover()
+        assert recovered.snapshot_state == {"position": 3}
+        assert [seq for seq, __ in recovered.entries] == [4]
+
+    def test_snapshot_only_directory_numbers_after_the_snapshot(
+        self, tmp_path
+    ):
+        write_snapshot(tmp_path, {"position": 3}, seq=3)
+        with DurabilityManager(tmp_path) as manager:
+            assert manager.wal.last_seq == 3
+            assert manager.append({"pos": 3}) == 4
+        with DurabilityManager(tmp_path) as manager:
+            recovered = manager.recover()
+        assert recovered.snapshot_state == {"position": 3}
+        assert [seq for seq, __ in recovered.entries] == [4]
+        assert recovered.last_seq == 4
 
 
 class TestRecover:

@@ -143,6 +143,25 @@ class TestDynamicRoundtrip:
         recovered = DynamicCondenser.recover(tmp_path)
         assert fingerprint(recovered.model_) == fingerprint(condenser.model_)
 
+    def test_checkpoint_right_after_rotation_keeps_later_writes(
+        self, tmp_path, rng
+    ):
+        condenser = DynamicCondenser(3, random_state=0, wal_dir=tmp_path)
+        condenser.fit(rng.normal(size=(30, 3)))
+        # Every entry outgrows the segment, so each append rotates the
+        # log and the checkpoint lands before the next segment exists.
+        condenser._manager.wal.max_segment_bytes = 1
+        condenser.partial_fit(rng.normal(size=(20, 3)))
+        condenser.checkpoint()
+        condenser.close()
+        resumed = DynamicCondenser.recover(tmp_path)
+        resumed.partial_fit(rng.normal(size=(25, 3)))
+        resumed.close()
+        recovered = DynamicCondenser.recover(tmp_path)
+        recovered.close()
+        assert recovered.position == resumed.position == 45
+        assert fingerprint(recovered.model_) == fingerprint(resumed.model_)
+
 
 class TestWindowedRoundtrip:
     def test_recover_requires_window_restore(self, tmp_path, rng):

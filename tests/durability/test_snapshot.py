@@ -59,6 +59,15 @@ class TestCorruption:
         assert info.seq == 10
         assert info.state == {"position": 1}
 
+    def test_non_utf8_byte_falls_back(self, tmp_path):
+        write_snapshot(tmp_path, {"position": 1}, seq=10)
+        newest = write_snapshot(tmp_path, {"position": 2}, seq=20)
+        document = bytearray(newest.read_bytes())
+        document[len(document) // 2] = 0xFF
+        newest.write_bytes(bytes(document))
+        assert read_snapshot(newest) is None
+        assert latest_snapshot(tmp_path).seq == 10
+
     def test_latest_none_when_all_corrupt(self, tmp_path):
         path = write_snapshot(tmp_path, STATE, seq=4)
         path.write_text("")

@@ -1,12 +1,11 @@
-"""The persistent warm worker pool: reuse, respawn, reaping, teardown.
+"""The persistent warm worker pool: reuse, respawn, teardown.
 
 The pool's contract has two halves.  The *performance* half: workers
-spawn lazily, survive across runs (same PIDs on warm reuse), and idle
-ones are reaped after ``idle_timeout``.  The *reliability* half: a
-worker killed mid-task is respawned and the task transparently
-retried (up to ``restart_limit``), task exceptions are delivered to
-the caller rather than poisoning the pool, and ``close()`` is
-idempotent.  The engine-facing determinism consequence — a SIGKILL'd
+spawn lazily and survive across runs (same PIDs on warm reuse).  The
+*reliability* half: a worker killed mid-task is respawned and the task
+transparently retried (up to ``restart_limit``), task exceptions are
+delivered to the caller rather than poisoning the pool, and
+``close()`` is idempotent.  The engine-facing determinism consequence — a SIGKILL'd
 worker mid-shard still yields the bit-identical final model — is
 exercised at the ``condense_sharded`` level here too.
 """
@@ -102,17 +101,6 @@ class TestLifecycle:
         assert pool.alive_count() == 0
         with pytest.raises(RuntimeError, match="closed"):
             pool.submit(_echo, 2)
-
-    def test_idle_reap_retires_then_respawns(self):
-        with WorkerPool(1, idle_timeout=0.05) as pool:
-            pool.submit(_echo, 1, key="a")
-            drain(pool, 1)
-            time.sleep(0.1)
-            assert pool.reap_idle() == 1
-            assert pool.alive_count() == 0
-            # The next burst respawns transparently.
-            pool.submit(_echo, 2, key="b")
-            assert drain(pool, 1) == {"b": (2, None)}
 
     def test_ensure_workers_never_shrinks(self):
         with WorkerPool(2) as pool:

@@ -81,6 +81,10 @@ class TestValidation:
             ShardedCondensationService(0, 4)
         with pytest.raises(ValueError, match="k must be"):
             ShardedCondensationService(2, 0)
+        with pytest.raises(ValueError, match="n_shards must be an integer"):
+            ShardedCondensationService(2.5, 4)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            ShardedCondensationService(2, 2.7)
 
 
 class TestTraffic:
