@@ -29,36 +29,29 @@ Package map
 * :mod:`repro.evaluation` — the paper's experimental protocol (§4).
 """
 
-from repro.core import (
-    ClasswiseCondenser,
-    CondensedModel,
-    DynamicCondenser,
-    DynamicGroupMaintainer,
-    GroupStatistics,
-    StaticCondenser,
-    create_condensed_groups,
-    generate_anonymized_data,
-    split_group_statistics,
-)
-from repro.metrics import covariance_compatibility
-from repro.parallel import condense_sharded
-from repro.privacy import linkage_attack, privacy_report
+from repro._lazy import lazy_exports
 
-__version__ = "1.18.0"
+#: Exported name -> the module that defines it.  Names resolve on first
+#: access (PEP 562), so ``import repro.serve`` or ``repro lint`` loads
+#: only what it uses instead of every subsystem.
+_EXPORTS = {
+    "ClasswiseCondenser": "repro.core",
+    "CondensedModel": "repro.core",
+    "DynamicCondenser": "repro.core",
+    "DynamicGroupMaintainer": "repro.core",
+    "GroupStatistics": "repro.core",
+    "StaticCondenser": "repro.core",
+    "create_condensed_groups": "repro.core",
+    "generate_anonymized_data": "repro.core",
+    "split_group_statistics": "repro.core",
+    "condense_sharded": "repro.parallel",
+    "covariance_compatibility": "repro.metrics",
+    "linkage_attack": "repro.privacy",
+    "privacy_report": "repro.privacy",
+}
 
-__all__ = [
-    "ClasswiseCondenser",
-    "CondensedModel",
-    "DynamicCondenser",
-    "DynamicGroupMaintainer",
-    "GroupStatistics",
-    "StaticCondenser",
-    "create_condensed_groups",
-    "generate_anonymized_data",
-    "split_group_statistics",
-    "condense_sharded",
-    "covariance_compatibility",
-    "linkage_attack",
-    "privacy_report",
-    "__version__",
-]
+__version__ = "1.19.0"
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,41 +19,31 @@ and suppression syntax.
 ['RNG-001']
 """
 
-from repro.analysis.context import ModuleContext
-from repro.analysis.findings import Finding
-from repro.analysis.project import ProjectIndex, ProjectReport, run_project
-from repro.analysis.registry import ProjectRule, Rule, get_rules, register
-from repro.analysis.reporters import (
-    JSON_SCHEMA_VERSION,
-    SARIF_VERSION,
-    render_json,
-    render_sarif,
-    render_text,
-)
-from repro.analysis.walker import (
-    analyze_module,
-    analyze_paths,
-    analyze_source,
-    iter_python_files,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Finding",
-    "JSON_SCHEMA_VERSION",
-    "ModuleContext",
-    "ProjectIndex",
-    "ProjectReport",
-    "ProjectRule",
-    "Rule",
-    "SARIF_VERSION",
-    "analyze_module",
-    "analyze_paths",
-    "analyze_source",
-    "get_rules",
-    "iter_python_files",
-    "register",
-    "render_json",
-    "render_sarif",
-    "render_text",
-    "run_project",
-]
+#: Exported name -> defining module, imported on first access so the
+#: ``repro lint`` parser loads neither the rules nor the project pass.
+_EXPORTS = {
+    "Finding": "repro.analysis.findings",
+    "JSON_SCHEMA_VERSION": "repro.analysis.reporters",
+    "ModuleContext": "repro.analysis.context",
+    "ProjectIndex": "repro.analysis.project",
+    "ProjectReport": "repro.analysis.project",
+    "ProjectRule": "repro.analysis.registry",
+    "Rule": "repro.analysis.registry",
+    "SARIF_VERSION": "repro.analysis.reporters",
+    "analyze_module": "repro.analysis.walker",
+    "analyze_paths": "repro.analysis.walker",
+    "analyze_source": "repro.analysis.walker",
+    "get_rules": "repro.analysis.registry",
+    "iter_python_files": "repro.analysis.walker",
+    "register": "repro.analysis.registry",
+    "render_json": "repro.analysis.reporters",
+    "render_sarif": "repro.analysis.reporters",
+    "render_text": "repro.analysis.reporters",
+    "run_project": "repro.analysis.project",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

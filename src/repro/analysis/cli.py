@@ -22,15 +22,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.project.cache import DEFAULT_CACHE_PATH
-from repro.analysis.project.runner import run_project
-from repro.analysis.registry import get_rules
-from repro.analysis.reporters import (
-    render_json,
-    render_sarif,
-    render_text,
-)
-from repro.analysis.walker import analyze_paths
+#: Default incremental cache location, relative to the invocation
+#: directory.  Defined here, not beside the cache, so building the
+#: ``lint`` parser loads none of the analyzer's rules or project pass.
+DEFAULT_CACHE_PATH = ".repro-lint-cache.json"
 
 
 def _rule_list(value: str) -> list:
@@ -101,6 +96,15 @@ def run_lint(arguments) -> int:
         Process exit code: 0 when clean, 1 on findings or file errors,
         2 on usage errors (unknown rule id, missing path).
     """
+    from repro.analysis.project.runner import run_project
+    from repro.analysis.registry import get_rules
+    from repro.analysis.reporters import (
+        render_json,
+        render_sarif,
+        render_text,
+    )
+    from repro.analysis.walker import analyze_paths
+
     try:
         rules = get_rules(select=arguments.select, ignore=arguments.ignore)
     except ValueError as error:

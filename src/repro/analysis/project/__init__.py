@@ -6,9 +6,9 @@ interprocedural lock-set engine, the incremental result cache, the
 baseline ratchet, and the driver that ``repro lint --project`` runs.
 """
 
+from repro.analysis.cli import DEFAULT_CACHE_PATH
 from repro.analysis.project.baseline import Baseline, fingerprint
 from repro.analysis.project.cache import (
-    DEFAULT_CACHE_PATH,
     AnalysisCache,
     content_hash,
     rules_fingerprint,

@@ -30,9 +30,6 @@ from repro.analysis.findings import Finding
 #: On-disk format version; bump on incompatible layout changes.
 CACHE_VERSION = 1
 
-#: Default cache location, relative to the invocation directory.
-DEFAULT_CACHE_PATH = ".repro-lint-cache.json"
-
 
 def content_hash(text: str) -> str:
     """SHA-256 of a file's text, the cache's change detector.

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from repro.analysis.cli import DEFAULT_CACHE_PATH
 from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding
 from repro.analysis.project.baseline import Baseline
 from repro.analysis.project.cache import (
-    DEFAULT_CACHE_PATH,
     AnalysisCache,
     content_hash,
     rules_fingerprint,

@@ -57,29 +57,8 @@ import argparse
 import logging
 import sys
 
-import numpy as np
-
 from repro import telemetry
 from repro.analysis.cli import add_lint_arguments, run_lint
-from repro.core.coarsen import coarsen_model
-from repro.core.condensation import create_condensed_groups
-from repro.core.condenser import (
-    ClasswiseCondenser,
-    DynamicCondenser,
-    StaticCondenser,
-)
-from repro.core.generation import generate_anonymized_data
-from repro.evaluation.reporting import format_table
-from repro.io.csv import read_records, write_records
-from repro.io.model_store import load_model, save_model
-from repro.privacy.attacks import (
-    attribute_disclosure_attack,
-    linkage_attack,
-)
-from repro.privacy.metrics import privacy_report
-from repro.quality.report import utility_report
-from repro.telemetry import write_events, write_prometheus
-from repro.telemetry.summary import format_summary, summarize_trace
 
 _logger = logging.getLogger("repro")
 
@@ -180,6 +159,10 @@ def _add_durability_arguments(parser):
 
 def _condense_durable(arguments, data) -> int:
     """Durable serial condense: WAL-journaled dynamic ingest."""
+    from repro.core.condenser import DynamicCondenser
+    from repro.io.model_store import save_model
+    from repro.privacy.metrics import privacy_report
+
     condenser = DynamicCondenser(
         arguments.k, strategy=arguments.strategy,
         random_state=arguments.seed,
@@ -204,6 +187,11 @@ def _condense_durable(arguments, data) -> int:
 
 
 def _command_condense(arguments) -> int:
+    from repro.core.condenser import StaticCondenser
+    from repro.io.csv import read_records
+    from repro.io.model_store import save_model
+    from repro.privacy.metrics import privacy_report
+
     durable_serial = (
         arguments.checkpoint_dir is not None
         and arguments.shards is None and arguments.workers is None
@@ -242,6 +230,7 @@ def _command_recover(arguments) -> int:
         recovered_window,
     )
     from repro.durability.manager import _read_recovered
+    from repro.io.model_store import save_model
 
     if arguments.output is None and not arguments.dry_run:
         print("error: an output model path is required unless "
@@ -287,6 +276,7 @@ def _command_wal_inspect(arguments) -> int:
     import json
 
     from repro.durability import inspect_frames, list_segments
+    from repro.evaluation.reporting import format_table
 
     if not list_segments(arguments.directory):
         print(f"error: no WAL segments in {arguments.directory}",
@@ -321,6 +311,10 @@ def _command_wal_inspect(arguments) -> int:
 
 
 def _command_generate(arguments) -> int:
+    from repro.core.generation import generate_anonymized_data
+    from repro.io.csv import write_records
+    from repro.io.model_store import load_model
+
     model = load_model(arguments.model)
     anonymized = generate_anonymized_data(
         model, sampler=arguments.sampler, random_state=arguments.seed
@@ -332,6 +326,11 @@ def _command_generate(arguments) -> int:
 
 
 def _command_anonymize(arguments) -> int:
+    import numpy as np
+
+    from repro.core.condenser import ClasswiseCondenser, StaticCondenser
+    from repro.io.csv import read_records, write_records
+
     data, header = read_records(arguments.input)
     _logger.info("read %d records from %s", data.shape[0],
                  arguments.input)
@@ -379,6 +378,9 @@ def _command_anonymize(arguments) -> int:
 
 
 def _command_report(arguments) -> int:
+    from repro.io.csv import read_records
+    from repro.quality.report import utility_report
+
     original, __ = read_records(arguments.original)
     anonymized, __ = read_records(arguments.anonymized)
     if original.shape[1] != anonymized.shape[1]:
@@ -392,6 +394,9 @@ def _command_report(arguments) -> int:
 
 
 def _command_coarsen(arguments) -> int:
+    from repro.core.coarsen import coarsen_model
+    from repro.io.model_store import load_model, save_model
+
     model = load_model(arguments.model)
     try:
         coarse = coarsen_model(model, arguments.k)
@@ -406,6 +411,14 @@ def _command_coarsen(arguments) -> int:
 
 
 def _command_attack(arguments) -> int:
+    from repro.core.condensation import create_condensed_groups
+    from repro.evaluation.reporting import format_table
+    from repro.io.csv import read_records
+    from repro.privacy.attacks import (
+        attribute_disclosure_attack,
+        linkage_attack,
+    )
+
     data, header = read_records(arguments.input)
     model = create_condensed_groups(
         data, arguments.k, random_state=arguments.seed
@@ -498,6 +511,7 @@ def _command_serve(arguments) -> int:
 
 
 def _command_loadgen(arguments) -> int:
+    from repro.evaluation.reporting import format_table
     from repro.serve import run_loadgen, write_report
 
     try:
@@ -530,6 +544,8 @@ def _command_loadgen(arguments) -> int:
 
 
 def _command_telemetry(arguments) -> int:
+    from repro.telemetry.summary import format_summary, summarize_trace
+
     try:
         summary = summarize_trace(arguments.trace)
     except (OSError, ValueError) as error:
@@ -786,10 +802,10 @@ def main(argv=None) -> int:
     finally:
         telemetry.disable()
         if metrics_out is not None:
-            write_prometheus(metrics_out, pipeline.registry)
+            telemetry.write_prometheus(metrics_out, pipeline.registry)
             _logger.info("wrote metrics to %s", metrics_out)
         if trace_out is not None:
-            write_events(trace_out, pipeline.finished_spans(),
+            telemetry.write_events(trace_out, pipeline.finished_spans(),
                          registry=pipeline.registry)
             _logger.info("wrote trace to %s", trace_out)
 

@@ -49,12 +49,43 @@ def require_positive_int(value, name: str) -> int:
         Naming ``name``, if it is not.  A float is not truncated and a
         ``bool`` is not a count.
     """
+    return _require_int_at_least(value, name, 1)
+
+
+def require_non_negative_int(value, name: str) -> int:
+    """``value`` as an ``int``, if it is an integer of at least 0.
+
+    The form for knobs where ``0`` means "off", such as
+    ``checkpoint_every``; otherwise as :func:`require_positive_int`.
+
+    Parameters
+    ----------
+    value:
+        The count to check: an ``int`` or ``numpy.integer``.
+    name:
+        Parameter name for the error message.
+
+    Returns
+    -------
+    int
+
+    Raises
+    ------
+    ValueError
+        Naming ``name``, if it is not.
+    """
+    return _require_int_at_least(value, name, 0)
+
+
+def _require_int_at_least(value, name: str, minimum: int) -> int:
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, np.integer))
-        or value < 1
+        or value < minimum
     ):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r}"
+        )
     return int(value)
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.condensation import (
     create_condensed_groups,
+    require_non_negative_int,
     require_positive_int,
 )
 from repro.core.dynamic import DynamicGroupMaintainer
@@ -139,8 +140,10 @@ class _DurableStream:
         self.k = require_positive_int(k, "k")
         self.sampler = sampler
         self.wal_dir = wal_dir
-        self.checkpoint_every = int(checkpoint_every)
-        self.fsync_every = int(fsync_every)
+        self.checkpoint_every = require_non_negative_int(
+            checkpoint_every, "checkpoint_every"
+        )
+        self.fsync_every = require_positive_int(fsync_every, "fsync_every")
         self._rng = check_random_state(random_state)
         self._maintainer: DynamicGroupMaintainer | None = None
         self._position = 0
@@ -159,8 +162,8 @@ class _DurableStream:
         from repro.durability import DurabilityManager
 
         return DurabilityManager(
-            wal_dir, checkpoint_every=int(checkpoint_every),
-            fsync_every=int(fsync_every),
+            wal_dir, checkpoint_every=checkpoint_every,
+            fsync_every=fsync_every,
         )
 
     @classmethod
@@ -180,8 +183,8 @@ class _DurableStream:
         condenser = cls(maintainer.k, random_state=maintainer._rng,
                         **settings)
         condenser.wal_dir = wal_dir
-        condenser.checkpoint_every = int(checkpoint_every)
-        condenser.fsync_every = int(fsync_every)
+        condenser.checkpoint_every = manager.checkpoint_every
+        condenser.fsync_every = manager.wal.fsync_every
         condenser._manager = manager
         condenser._maintainer = maintainer
         condenser._position = position

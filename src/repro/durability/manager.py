@@ -25,6 +25,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import telemetry
+from repro.core.condensation import (
+    require_non_negative_int,
+    require_positive_int,
+)
 from repro.durability.snapshot import (
     _seq_of,
     latest_snapshot,
@@ -126,17 +130,13 @@ class DurabilityManager:
                  keep_snapshots: int = DEFAULT_KEEP_SNAPSHOTS,
                  max_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
                  fsync_every: int = 1):
-        if checkpoint_every < 0:
-            raise ValueError(
-                f"checkpoint_every must be >= 0, got {checkpoint_every}"
-            )
-        if keep_snapshots < 1:
-            raise ValueError(
-                f"keep_snapshots must be >= 1, got {keep_snapshots}"
-            )
+        self.checkpoint_every = require_non_negative_int(
+            checkpoint_every, "checkpoint_every"
+        )
+        self.keep_snapshots = require_positive_int(
+            keep_snapshots, "keep_snapshots"
+        )
         self.directory = Path(directory)
-        self.checkpoint_every = int(checkpoint_every)
-        self.keep_snapshots = int(keep_snapshots)
         self.wal = WriteAheadLog(
             self.directory, max_segment_bytes=max_segment_bytes,
             fsync_every=fsync_every,

@@ -39,6 +39,7 @@ import time
 from pathlib import Path
 
 from repro import telemetry
+from repro.core.condensation import require_positive_int
 from repro.durability._files import decode_frame, encode_frame
 from repro.telemetry import DEFAULT_SECONDS_BUCKETS
 
@@ -261,18 +262,12 @@ class WriteAheadLog:
 
     def __init__(self, directory, max_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
                  fsync_every: int = 1):
-        if max_segment_bytes < 1:
-            raise ValueError(
-                f"max_segment_bytes must be >= 1, got {max_segment_bytes}"
-            )
-        if fsync_every < 1:
-            raise ValueError(
-                f"fsync_every must be >= 1, got {fsync_every}"
-            )
+        self.max_segment_bytes = require_positive_int(
+            max_segment_bytes, "max_segment_bytes"
+        )
+        self.fsync_every = require_positive_int(fsync_every, "fsync_every")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.max_segment_bytes = int(max_segment_bytes)
-        self.fsync_every = int(fsync_every)
         self._handle = None
         self._appends_since_fsync = 0
         self._segment_index = 0

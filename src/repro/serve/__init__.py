@@ -8,13 +8,13 @@ answers every read endpoint from group statistics only — the paper's
 privacy contract as a deployment boundary.  See ``docs/serving.md``.
 """
 
+from repro._lazy import lazy_exports
 from repro.serve.http import (
     AnonymizationHTTPServer,
     AnonymizationRequestHandler,
     RequestError,
     install_signal_handlers,
 )
-from repro.serve.loadgen import run_loadgen, write_report
 from repro.serve.router import PrincipalAxisRouter
 from repro.serve.service import (
     NotReadyError,
@@ -32,3 +32,9 @@ __all__ = [
     "run_loadgen",
     "write_report",
 ]
+
+# The load generator is a client; the server never loads it.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "run_loadgen": "repro.serve.loadgen",
+    "write_report": "repro.serve.loadgen",
+})

@@ -33,6 +33,7 @@ from urllib.parse import parse_qs, urlsplit
 import numpy as np
 
 from repro import telemetry
+from repro.core.condensation import require_positive_int
 from repro.telemetry.exporters import render_prometheus
 
 #: Reject /ingest bodies larger than this many bytes (HTTP 413).
@@ -40,6 +41,11 @@ DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Cap on ``/generate?n=`` so one request cannot wedge a worker.
 MAX_GENERATE_RECORDS = 1_000_000
+
+#: Smallest write of a multi-piece body: ``/model`` goes out in joined
+#: batches of at least this many bytes, the last batch included (see
+#: :func:`_write_batches`).
+WRITE_BATCH_BYTES = 64 * 1024
 
 
 class RequestError(Exception):
@@ -120,7 +126,9 @@ class AnonymizationHTTPServer(ThreadingHTTPServer):
     def __init__(self, address, service,
                  max_body_bytes: int = DEFAULT_MAX_BODY_BYTES):
         self.service = service
-        self.max_body_bytes = int(max_body_bytes)
+        self.max_body_bytes = require_positive_int(
+            max_body_bytes, "max_body_bytes"
+        )
         super().__init__(address, AnonymizationRequestHandler)
 
 
@@ -167,7 +175,9 @@ class AnonymizationRequestHandler(BaseHTTPRequestHandler):
                 }})
                 status = "rejected"
             except (BrokenPipeError, ConnectionResetError):
-                # The client hung up mid-response; nothing to send.
+                # The client hung up mid-response; nothing to send, and
+                # the connection cannot carry another request.
+                self.close_connection = True
                 status = "disconnected"
             except Exception as error:  # noqa: BLE001 - worker must survive
                 telemetry.counter_inc("serve.errors")
@@ -249,9 +259,13 @@ class AnonymizationRequestHandler(BaseHTTPRequestHandler):
         })
 
     def _handle_model(self, query) -> None:
-        """``GET /model`` — the statistics-only model document."""
-        self._send_bytes(
-            200, self.server.service.model(), "application/json"
+        """``GET /model`` — the statistics-only model document.
+
+        The document is streamed from the service's cached group
+        chunks, never joined into one body.
+        """
+        self._send_pieces(
+            200, self.server.service.model_pieces(), "application/json"
         )
 
     def _handle_healthz(self, query) -> None:
@@ -267,8 +281,8 @@ class AnonymizationRequestHandler(BaseHTTPRequestHandler):
             text = "# telemetry disabled\n"
         else:
             text = render_prometheus(registry)
-        self._send_bytes(
-            200, text.encode("utf-8"),
+        self._send_pieces(
+            200, [text.encode("utf-8")],
             "text/plain; version=0.0.4; charset=utf-8",
         )
 
@@ -307,26 +321,68 @@ class AnonymizationRequestHandler(BaseHTTPRequestHandler):
 
     def _send_json(self, status: int, document) -> None:
         """Send one sorted-key JSON response document."""
-        self._send_bytes(
+        self._send_pieces(
             status,
-            json.dumps(document, sort_keys=True).encode("utf-8"),
+            [json.dumps(document, sort_keys=True).encode("utf-8")],
             "application/json",
         )
 
-    def _send_bytes(self, status: int, body: bytes,
-                    content_type: str) -> None:
-        """Send a complete response with explicit Content-Length."""
+    def _send_pieces(self, status: int, pieces: list,
+                     content_type: str) -> None:
+        """Send a complete response: the concatenation of ``pieces``.
+
+        ``Content-Length`` is the sum of the piece lengths; the body is
+        written in :func:`_write_batches` batches, so a multi-piece body
+        is never copied whole.  A one-piece body is written as is.
+        """
+        length = sum(len(piece) for piece in pieces)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Length", str(length))
         self.end_headers()
-        self.wfile.write(body)
+        for batch in _write_batches(pieces, length):
+            self.wfile.write(batch)
         telemetry.counter_inc(
             "serve.responses", labels={"status": str(status)}
         )
 
     def log_message(self, format, *args) -> None:  # noqa: A002
         """Silence the default stderr access log (telemetry covers it)."""
+
+
+def _write_batches(pieces: list, total: int):
+    """Join ``pieces`` into writes of :data:`WRITE_BATCH_BYTES` or more.
+
+    Each batch closes at the first piece boundary past the limit, so a
+    batch is shorter than twice the limit plus one piece.  The last
+    batch is never short: a batch closes only if at least the limit is
+    left after it.  A short final write would stall: the previous
+    write's sub-segment tail is still unacknowledged, so Nagle holds the
+    new tail until the client's delayed ACK, about 40 ms.  A final
+    write of at least a full loopback segment (about 64 KiB) draws that
+    ACK at once.
+
+    Parameters
+    ----------
+    pieces:
+        Byte strings in body order.
+    total:
+        Sum of the piece lengths.
+
+    Yields
+    ------
+    bytes
+    """
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= WRITE_BATCH_BYTES and total - size >= WRITE_BATCH_BYTES:
+            yield b"".join(batch)
+            total -= size
+            batch, size = [], 0
+    if batch:
+        yield b"".join(batch)
 
 
 def _parse_record_payload(payload):

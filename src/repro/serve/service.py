@@ -55,7 +55,10 @@ from pathlib import Path
 import numpy as np
 
 from repro import telemetry
-from repro.core.condensation import require_positive_int
+from repro.core.condensation import (
+    require_non_negative_int,
+    require_positive_int,
+)
 from repro.core.condenser import DynamicCondenser
 from repro.core.generation import generate_anonymized_data
 from repro.core.statistics import CondensedModel
@@ -157,14 +160,18 @@ class ShardedCondensationService:
         if bootstrap_size is None:
             bootstrap_size = max(2 * self.k * self.n_shards,
                                  8 * self.n_shards)
-        if bootstrap_size < self.n_shards:
+        self.bootstrap_size = require_positive_int(
+            bootstrap_size, "bootstrap_size"
+        )
+        if self.bootstrap_size < self.n_shards:
             raise ValueError(
                 f"bootstrap_size must be >= n_shards ({self.n_shards}), "
                 f"got {bootstrap_size}"
             )
-        self.bootstrap_size = int(bootstrap_size)
-        self.checkpoint_every = int(checkpoint_every)
-        self.fsync_every = int(fsync_every)
+        self.checkpoint_every = require_non_negative_int(
+            checkpoint_every, "checkpoint_every"
+        )
+        self.fsync_every = require_positive_int(fsync_every, "fsync_every")
         self.random_state = random_state
         self._lock = threading.RLock()
         self._shard_locks = [
@@ -483,6 +490,20 @@ class ShardedCondensationService:
             under that shard's lock); under concurrent ingest the
             documents may reflect slightly different stream moments
             across shards.
+        """
+        return b"".join(self.model_pieces())
+
+    def model_pieces(self) -> list:
+        """The :meth:`model` document as a list of byte pieces.
+
+        ``b"".join`` of the pieces is :meth:`model`.  The pieces are the
+        framing around each list, the ``", "`` separators, and one
+        cached chunk per group, so ``/model`` writes them out without
+        building the document.
+
+        Returns
+        -------
+        list of bytes
 
         Notes
         -----
@@ -508,8 +529,8 @@ class ShardedCondensationService:
                 chunks = self._group_chunks(shard_id, groups)
             for name in totals:
                 totals[name] += framing[name]
-            shards.append(_encode_framed(framing, "groups", chunks))
-        return _encode_framed({
+            shards.append(_framed(framing, "groups", chunks))
+        return _framed({
             "k": self.k,
             "n_shards": self.n_shards,
             "bootstrapped": bootstrapped,
@@ -707,8 +728,8 @@ class ShardedCondensationService:
         )
 
 
-def _encode_framed(scalars: dict, key: str, items: list) -> bytes:
-    """``json.dumps({**scalars, key: items}, sort_keys=True)``, as bytes.
+def _framed(scalars: dict, key: str, items: list) -> list:
+    """Pieces of ``json.dumps({**scalars, key: items}, sort_keys=True)``.
 
     Parameters
     ----------
@@ -718,20 +739,27 @@ def _encode_framed(scalars: dict, key: str, items: list) -> bytes:
     key:
         Name of the list member.
     items:
-        The list's elements, each already encoded as UTF-8 JSON.
+        The list's elements, each already encoded as UTF-8 JSON: one
+        ``bytes`` chunk, or a list of pieces (a nested framed document).
 
     Returns
     -------
-    bytes
+    list of bytes
+        Pieces whose concatenation is the UTF-8 dump.
     """
     head, placeholder, tail = json.dumps(
         {**scalars, key: []}, sort_keys=True
     ).partition(f'"{key}": []')
-    return b"".join((
-        (head + placeholder[:-1]).encode("utf-8"),
-        b", ".join(items),
-        ("]" + tail).encode("utf-8"),
-    ))
+    pieces = [(head + placeholder[:-1]).encode("utf-8")]
+    for index, item in enumerate(items):
+        if index:
+            pieces.append(b", ")
+        if isinstance(item, bytes):
+            pieces.append(item)
+        else:
+            pieces.extend(item)
+    pieces.append(("]" + tail).encode("utf-8"))
+    return pieces
 
 
 def _proportional_sizes(group_sizes: np.ndarray, total: int) -> list:

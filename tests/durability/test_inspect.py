@@ -246,3 +246,14 @@ class TestFsyncEveryPlumbing:
     def test_rejects_fsync_every_below_one(self, tmp_path):
         with pytest.raises(ValueError, match="fsync_every"):
             DynamicCondenser(3, wal_dir=tmp_path, fsync_every=0)
+
+    @pytest.mark.parametrize("durable", [True, False])
+    @pytest.mark.parametrize("knob, value", [
+        ("checkpoint_every", 2.7), ("fsync_every", 1.5),
+    ])
+    def test_rejects_a_float_knob(self, tmp_path, durable, knob, value):
+        wal_dir = tmp_path if durable else None
+        with pytest.raises(ValueError, match=f"{knob} must be an integer"):
+            DynamicCondenser(3, wal_dir=wal_dir, **{knob: value})
+        with pytest.raises(ValueError, match=f"{knob} must be an integer"):
+            SlidingWindowCondenser(3, 10, wal_dir=wal_dir, **{knob: value})

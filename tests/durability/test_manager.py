@@ -20,6 +20,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="keep_snapshots"):
             DurabilityManager(tmp_path, keep_snapshots=0)
 
+    @pytest.mark.parametrize("knob, value", [
+        ("checkpoint_every", 3.9),
+        ("keep_snapshots", 1.9),
+        ("max_segment_bytes", 100.5),
+        ("fsync_every", 1.5),
+        ("checkpoint_every", True),
+    ])
+    def test_rejects_a_non_integer_knob(self, tmp_path, knob, value):
+        with pytest.raises(ValueError, match=f"{knob} must be an integer"):
+            DurabilityManager(tmp_path, **{knob: value})
+
+    def test_zero_cadence_means_off(self, tmp_path):
+        with DurabilityManager(tmp_path, checkpoint_every=0) as manager:
+            assert manager.checkpoint_every == 0
+
     def test_bind_requires_callable(self, tmp_path):
         with DurabilityManager(tmp_path) as manager:
             with pytest.raises(TypeError):

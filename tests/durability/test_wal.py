@@ -180,6 +180,15 @@ class TestFsyncPolicy:
         with WriteAheadLog(tmp_path) as reopened:
             assert len(entries_of(reopened)) == 9
 
+    @pytest.mark.parametrize("knob, value", [
+        ("fsync_every", 1.5), ("fsync_every", 0),
+        ("max_segment_bytes", 100.5), ("max_segment_bytes", 0),
+    ])
+    def test_rejects_a_knob_that_is_not_a_positive_integer(
+            self, tmp_path, knob, value):
+        with pytest.raises(ValueError, match=f"{knob} must be an integer"):
+            WriteAheadLog(tmp_path, **{knob: value})
+
     def test_empty_directory_replays_nothing(self, tmp_path):
         with WriteAheadLog(tmp_path) as wal:
             assert entries_of(wal) == []

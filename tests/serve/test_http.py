@@ -196,6 +196,16 @@ class TestGracefulDegradation:
         counter = pipeline.registry.counter("serve.rejected")
         assert sum(counter.series().values()) == 2
 
+    @pytest.mark.parametrize("limit", [1000.7, 0, True])
+    def test_max_body_bytes_must_be_a_positive_integer(self, limit):
+        service = ShardedCondensationService(n_shards=2, k=3)
+        with pytest.raises(ValueError,
+                           match="max_body_bytes must be an integer"):
+            AnonymizationHTTPServer(
+                ("127.0.0.1", 0), service, max_body_bytes=limit
+            )
+        service.close()
+
     def test_worker_threads_survive_rejections(self, server):
         # A burst of bad requests must leave the server answering.
         for _ in range(5):

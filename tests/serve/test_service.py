@@ -86,6 +86,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="k must be an integer"):
             ShardedCondensationService(2, 2.7)
 
+    @pytest.mark.parametrize("knob, value", [
+        ("checkpoint_every", 2.7), ("checkpoint_every", -1),
+        ("fsync_every", 1.5), ("fsync_every", 0),
+        ("bootstrap_size", 30.5),
+    ])
+    def test_rejects_a_non_integer_knob(self, knob, value):
+        with pytest.raises(ValueError, match=f"{knob} must be an integer"):
+            ShardedCondensationService(2, 3, **{knob: value})
+
 
 class TestTraffic:
     def test_generate_shape_and_determinism(self):
