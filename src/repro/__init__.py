@@ -50,7 +50,7 @@ _EXPORTS = {
     "privacy_report": "repro.privacy",
 }
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [*_EXPORTS, "__version__"]
 

@@ -11,8 +11,8 @@ unparsable file) remains::
     repro lint --project --update-baseline --baseline .repro-lint-baseline.json
 
 ``--project`` enables the whole-program pass (PRIV-003, DET-001/002/003,
-THR-001..004) with the incremental cache; ``--baseline`` turns findings
-into a ratchet — only findings beyond the baseline fail the run.
+THR-001..004) as one whole pass over the tree; ``--baseline`` turns
+findings into a ratchet — only findings beyond the baseline fail the run.
 ``--format sarif`` renders SARIF v2.1.0 for GitHub code scanning, and
 ``--stats`` adds per-rule timings to the report.
 """
@@ -21,12 +21,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-#: Default incremental cache location, relative to the invocation
-#: directory.  Defined here, not beside the cache, so building the
-#: ``lint`` parser loads none of the analyzer's rules or project pass.
-DEFAULT_CACHE_PATH = ".repro-lint-cache.json"
-
 
 def _rule_list(value: str) -> list:
     return [item.strip() for item in value.split(",") if item.strip()]
@@ -61,8 +55,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                         help="list registered rules and exit")
     parser.add_argument("--project", action="store_true",
                         help="run the whole-program pass (taint and "
-                             "determinism rules) with the incremental "
-                             "cache")
+                             "determinism rules)")
     parser.add_argument("--baseline", default=None, metavar="PATH",
                         help="baseline (ratchet) file: grandfathered "
                              "findings pass, new ones fail "
@@ -70,15 +63,9 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--update-baseline", action="store_true",
                         help="rewrite the --baseline file from the "
                              "current findings and exit clean")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the incremental result cache")
     parser.add_argument("--stats", action="store_true",
-                        help="collect and print per-rule timings and "
-                             "cache hit counts (project runs)")
-    parser.add_argument("--cache-file", default=DEFAULT_CACHE_PATH,
-                        metavar="PATH",
-                        help="incremental cache location (default: "
-                             f"{DEFAULT_CACHE_PATH})")
+                        help="collect and print per-rule timings "
+                             "(project runs)")
 
 
 def run_lint(arguments) -> int:
@@ -128,8 +115,6 @@ def run_lint(arguments) -> int:
             report = run_project(
                 arguments.paths,
                 rules=rules,
-                cache_path=arguments.cache_file,
-                use_cache=not arguments.no_cache,
                 baseline_path=arguments.baseline,
                 update_baseline=arguments.update_baseline,
                 with_timings=getattr(arguments, "stats", False),

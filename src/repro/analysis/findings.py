@@ -79,28 +79,3 @@ class Finding:
         if self.trace:
             document["trace"] = list(self.trace)
         return document
-
-    @classmethod
-    def from_dict(cls, document: dict) -> "Finding":
-        """Rebuild a finding from its :meth:`to_dict` mapping.
-
-        Used by the incremental cache to replay findings without
-        re-analyzing the file.
-
-        Parameters
-        ----------
-        document:
-            Mapping produced by :meth:`to_dict`.
-
-        Returns
-        -------
-        Finding
-        """
-        return cls(
-            path=document["path"],
-            line=document["line"],
-            column=document["column"],
-            rule_id=document["rule_id"],
-            message=document["message"],
-            trace=tuple(document.get("trace", ())),
-        )

@@ -2,17 +2,11 @@
 
 Everything the per-module analyzer cannot see lives here: the project
 index (symbols, imports, call graph), the raw-record taint engine, the
-interprocedural lock-set engine, the incremental result cache, the
-baseline ratchet, and the driver that ``repro lint --project`` runs.
+interprocedural lock-set engine, the baseline ratchet, and the driver
+that ``repro lint --project`` runs.
 """
 
-from repro.analysis.cli import DEFAULT_CACHE_PATH
 from repro.analysis.project.baseline import Baseline, fingerprint
-from repro.analysis.project.cache import (
-    AnalysisCache,
-    content_hash,
-    rules_fingerprint,
-)
 from repro.analysis.project.index import (
     FunctionInfo,
     ModuleInfo,
@@ -41,11 +35,9 @@ from repro.analysis.project.locks import (
 )
 
 __all__ = [
-    "AnalysisCache",
     "AttributeAccess",
     "Baseline",
     "BlockingSite",
-    "DEFAULT_CACHE_PATH",
     "FunctionInfo",
     "Leak",
     "LockInfo",
@@ -61,11 +53,9 @@ __all__ = [
     "ThreadRoot",
     "analyze_taint",
     "build_index",
-    "content_hash",
     "fingerprint",
     "lock_sets",
     "module_name_for_path",
-    "rules_fingerprint",
     "run_project",
     "taint_summary",
 ]

@@ -11,8 +11,6 @@ over the analyzed tree:
   method) with its parameters, plus the import bindings that make names
   resolvable across files, including package ``__init__`` re-exports
   and relative imports;
-* an **import graph** (module → directly imported project modules),
-  which also drives the incremental cache's transitive invalidation;
 * an approximate **call graph** (function → resolvable callees).
 
 The call graph is deliberately approximate: plain-name calls, imported
@@ -322,25 +320,6 @@ class ProjectIndex:
         ModuleInfo or None
         """
         return self.modules.get(module_name_for_path(path))
-
-    def import_graph(self) -> dict:
-        """Direct project-internal imports of every module.
-
-        Returns
-        -------
-        dict of str to set of str
-            Module name → names of directly imported modules that are
-            part of this index (external imports are dropped).
-        """
-        graph = {}
-        for name, info in self.modules.items():
-            deps = set()
-            for target in info.imports.values():
-                dep = self._owning_module(target)
-                if dep is not None and dep != name:
-                    deps.add(dep)
-            graph[name] = deps
-        return graph
 
     def _owning_module(self, qualified: str) -> str | None:
         """Longest indexed module prefix of a qualified name."""

@@ -1,21 +1,22 @@
 """Text and JSON rendering of analysis results.
 
 The JSON schema is stable (``schema_version``) so CI and editor
-integrations can consume it.  Version 2 adds column offsets (always
+integrations can consume it.  Version 2 added column offsets (always
 present in findings), per-rule suppression counts, the baselined
 (grandfathered) count, source→sink traces, and zero-filled per-rule
 totals whenever the run's rule set is known — so two CI artifacts diff
-cleanly even when a rule goes quiet::
+cleanly even when a rule goes quiet.  Version 3 drops the cache fields
+from ``stats``, which now holds only file counts (and ``rule_timings``
+under ``--stats``)::
 
     {
-      "schema_version": 2,
+      "schema_version": 3,
       "summary": {"files_with_findings": 1, "total": 2,
                   "by_rule": {"PRIV-003": 2, "RNG-001": 0},
                   "suppressed": {"PRIV-001": 1},
                   "suppressed_total": 1,
                   "baselined": 4},
-      "stats": {"total_files": 106, "analyzed_files": 3,
-                "cached_files": 103, "cache_hit": false},
+      "stats": {"total_files": 106, "analyzed_files": 106},
       "findings": [{"path": ..., "line": ..., "column": ...,
                     "rule_id": ..., "message": ..., "trace": [...]}],
       "errors": []
@@ -41,7 +42,7 @@ from typing import Mapping, Sequence
 from repro.analysis.findings import Finding
 from repro.analysis.project.baseline import fingerprint
 
-JSON_SCHEMA_VERSION = 2
+JSON_SCHEMA_VERSION = 3
 
 #: SARIF format version emitted by :func:`render_sarif`.
 SARIF_VERSION = "2.1.0"
@@ -84,7 +85,8 @@ def render_text(
         Ids of the rules that ran (unused in text output; accepted for
         signature parity with :func:`render_json`).
     stats:
-        Project-run statistics (cache behavior), rendered when given.
+        Project-run statistics (file counts, timings), rendered
+        when given.
 
     Returns
     -------
@@ -108,13 +110,10 @@ def render_text(
         lines.append(f"0 findings — clean{extras}")
     if stats:
         lines.append(
-            "analyzed {analyzed} of {total} file(s), {cached} from cache"
-            .format(
+            "analyzed {analyzed} of {total} file(s)".format(
                 analyzed=stats.get("analyzed_files", "?"),
                 total=stats.get("total_files", "?"),
-                cached=stats.get("cached_files", 0),
             )
-            + (" [warm cache]" if stats.get("cache_hit") else "")
         )
         timings = stats.get("rule_timings")
         if timings:

@@ -12,11 +12,6 @@ correlates a source file with documentation files: it reads the
 walks up from the package path to find the repository's ``docs/``
 directory.  Trees without the docs (vendored copies, partial
 checkouts) produce no findings rather than noise.
-
-Caveat for cached runs: the analysis cache is keyed on *Python*
-content, so an edit that only deletes a line from ``docs/parallel.md``
-does not invalidate a previous clean result — CI runs ``--no-cache``
-for exactly this reason (see ``docs/static_analysis.md``).
 """
 
 from __future__ import annotations

@@ -141,13 +141,15 @@ class DurabilityManager:
             self.directory, max_segment_bytes=max_segment_bytes,
             fsync_every=fsync_every,
         )
-        if self.wal.last_seq == 0:
-            # A log with no entry left beside a snapshot (1.17.0 could
-            # prune every segment) numbers on after the snapshot, so
-            # recovery replays the new entries instead of skipping them.
+        newest = list_snapshots(self.directory)[-1:]
+        if newest and self.wal.last_seq < _seq_of(newest[0]):
+            # The log ends below a snapshot: 1.17.0 could prune every
+            # segment, and repair on open can cut the log short of it.
+            # Recovery skips every entry up to the snapshot, so the log
+            # restarts after it and recovery replays the new entries.
             info = latest_snapshot(self.directory)
-            if info is not None:
-                self.wal.last_seq = info.seq
+            if info is not None and self.wal.last_seq < info.seq:
+                self.wal.restart_after(info.seq)
         self._state_provider = None
         self._appends_since_checkpoint = 0
 

@@ -398,6 +398,31 @@ class WriteAheadLog:
             telemetry.counter_inc("durability.wal_segments_pruned", removed)
         return removed
 
+    def restart_after(self, seq: int) -> None:
+        """Unlink every segment and number the next entry ``seq + 1``.
+
+        For a log that ends below a snapshot at ``seq``: recovery skips
+        every entry it holds, and appending after them would leave a
+        sequence gap that the next open truncates.  The next append
+        opens a fresh segment instead.  A crash part-way leaves a log
+        that still ends below the snapshot, so reopening repeats this.
+
+        Parameters
+        ----------
+        seq:
+            Sequence number of the snapshot the log restarts after.
+        """
+        self.close()
+        segments = self.segments()
+        for segment in segments:
+            segment.unlink()
+        if segments:
+            self._segment_index = _segment_index_of(segments[-1]) + 1
+            telemetry.counter_inc(
+                "durability.wal_segments_pruned", len(segments)
+            )
+        self.last_seq = seq
+
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

@@ -301,10 +301,15 @@ class AnonymizationRequestHandler(BaseHTTPRequestHandler):
         try:
             length = int(length_header)
         except ValueError:
+            length = -1
+        # A negative length would make ``rfile.read`` wait for EOF.  The
+        # body's end is unknown either way, so the connection closes.
+        if length < 0:
+            self.close_connection = True
             raise RequestError(
                 400, "bad-length",
                 f"invalid Content-Length {length_header!r}",
-            ) from None
+            )
         limit = self.server.max_body_bytes
         if length > limit:
             raise RequestError(

@@ -261,7 +261,6 @@ class TestSuppressionAndBaseline:
         tree = self._vandal_tree(tmp_path, suppress=True)
         report = run_project(
             [tree], rules=get_rules(select=["FS-001"]),
-            cache_path=tmp_path / "cache.json",
         )
         assert report.findings == []
         assert report.suppressed == {"FS-001": 1}
@@ -270,14 +269,12 @@ class TestSuppressionAndBaseline:
         tree = self._vandal_tree(tmp_path)
         report = run_project(
             [tree], rules=get_rules(select=["FS-001"]),
-            cache_path=tmp_path / "cache.json",
         )
         assert [f.rule_id for f in report.findings] == ["FS-001"]
         baseline_path = tmp_path / "baseline.json"
         Baseline.from_findings(report.findings).save(baseline_path)
         again = run_project(
             [tree], rules=get_rules(select=["FS-001"]),
-            cache_path=tmp_path / "cache2.json",
             baseline_path=baseline_path,
         )
         assert again.findings == []

@@ -107,15 +107,6 @@ class TestCallGraph:
         })
         assert index.worker_roots() == ["repro.parallel.eng._work"]
 
-    def test_import_graph_tracks_project_edges_only(self):
-        index = _index({
-            "src/repro/a.py": "import os\n\n\ndef f():\n    return 1\n",
-            "src/repro/b.py": "from repro import a\n\n\ndef g():\n    return 2\n",
-        })
-        graph = index.import_graph()
-        assert graph["repro.b"] == {"repro.a"}
-        assert graph["repro.a"] == set()
-
     def test_real_tree_indexes_and_finds_the_shard_worker(self):
         from pathlib import Path
 

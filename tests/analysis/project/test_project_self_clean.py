@@ -28,11 +28,10 @@ _PROJECT_RULES = [
 ]
 
 
-def _run(paths, tmp_path, baseline=None):
+def _run(paths, baseline=None):
     return run_project(
         paths,
         rules=get_rules(select=_PROJECT_RULES),
-        cache_path=tmp_path / "cache.json",
         baseline_path=baseline,
     )
 
@@ -42,17 +41,13 @@ class TestShippedBaseline:
         assert BASELINE.exists()
         Baseline.load(BASELINE)
 
-    def test_src_repro_has_zero_unbaselined_project_findings(self, tmp_path):
-        report = _run([REPO_ROOT / "src" / "repro"], tmp_path, BASELINE)
+    def test_src_repro_has_zero_unbaselined_project_findings(self):
+        report = _run([REPO_ROOT / "src" / "repro"], BASELINE)
         assert report.errors == []
         assert report.findings == [], "\n" + render_text(report.findings)
 
-    def test_src_and_tests_have_zero_unbaselined_project_findings(
-        self, tmp_path
-    ):
-        report = _run(
-            [REPO_ROOT / "src", REPO_ROOT / "tests"], tmp_path, BASELINE
-        )
+    def test_src_and_tests_have_zero_unbaselined_project_findings(self):
+        report = _run([REPO_ROOT / "src", REPO_ROOT / "tests"], BASELINE)
         assert report.errors == []
         assert report.findings == [], "\n" + render_text(report.findings)
 
@@ -86,7 +81,7 @@ class TestInjectedCrossModuleLeak:
             "    np.savetxt(out, _grab_records())\n",
             encoding="utf-8",
         )
-        report = _run([tree], tmp_path)
+        report = _run([tree])
         assert [f.rule_id for f in report.findings] == ["PRIV-003"]
         [finding] = report.findings
         assert finding.path.endswith("generation.py")

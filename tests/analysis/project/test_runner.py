@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.analysis.cli import main as analysis_main
+from repro.analysis.project import run_project
 from repro.cli import main as repro_main
 
 _LOADER = "def load_fake():\n    return [[1.0, 2.0]]\n"
@@ -31,7 +32,6 @@ def _lint(tree, *extra):
     return analysis_main([
         str(tree / "src"),
         "--select", "PRIV-003",
-        "--cache-file", str(tree / "cache.json"),
         *extra,
     ])
 
@@ -47,42 +47,56 @@ class TestProjectFlag:
         assert finding["rule_id"] == "PRIV-003"
         assert any("load_fake" in hop for hop in finding["trace"])
         assert any("savetxt" in hop for hop in finding["trace"])
-        assert document["stats"]["cache_hit"] is False
+        assert document["stats"] == {
+            "total_files": 2, "analyzed_files": 2,
+        }
 
     def test_module_pass_alone_misses_the_cross_module_leak(
         self, leaky_tree
     ):
         assert _lint(leaky_tree) == 0
 
-    def test_second_run_hits_the_cache(self, leaky_tree, capsys):
-        _lint(leaky_tree, "--project")
-        capsys.readouterr()
-        assert _lint(leaky_tree, "--project", "--format", "json") == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["stats"]["cache_hit"] is True
-        assert document["stats"]["analyzed_files"] == 0
-
-    def test_no_cache_disables_replay(self, leaky_tree, capsys):
-        _lint(leaky_tree, "--project", "--no-cache")
-        capsys.readouterr()
-        assert not (leaky_tree / "cache.json").exists()
-        assert (
-            _lint(leaky_tree, "--project", "--no-cache", "--format", "json")
-            == 1
-        )
-        document = json.loads(capsys.readouterr().out)
-        assert document["stats"]["cache_hit"] is False
-
     def test_zero_filled_rules_in_the_artifact(self, leaky_tree, capsys):
         assert analysis_main([
             str(leaky_tree / "src"), "--project", "--format", "json",
             "--select", "PRIV-003,DET-001",
-            "--cache-file", str(leaky_tree / "cache.json"),
         ]) == 1
         document = json.loads(capsys.readouterr().out)
         assert document["summary"]["by_rule"] == {
             "DET-001": 0, "PRIV-003": 1,
         }
+
+
+class TestOnePass:
+    def test_doc_only_edit_shows_on_the_next_run(
+        self, tmp_path, monkeypatch
+    ):
+        package = tmp_path / "src" / "repro" / "parallel"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text(
+            '"""Pool."""\n\n__all__ = ["condense_sharded"]\n'
+        )
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "parallel.md").write_text("`condense_sharded` shards.\n")
+        (docs / "api.md").write_text("# API\n")
+        monkeypatch.chdir(tmp_path)
+
+        first = run_project(["src"])
+        assert "DOC-002" not in {f.rule_id for f in first.findings}
+        (docs / "parallel.md").write_text("Sharding is documented.\n")
+        second = run_project(["src"])
+        [finding] = [f for f in second.findings if f.rule_id == "DOC-002"]
+        assert "condense_sharded" in finding.message
+
+    def test_project_run_writes_nothing(
+        self, leaky_tree, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(leaky_tree)
+        before = sorted(leaky_tree.rglob("*"))
+        assert analysis_main(["src", "--project"]) == 1
+        assert "PRIV-003" in capsys.readouterr().out
+        assert sorted(leaky_tree.rglob("*")) == before
 
 
 class TestBaselineRatchet:
@@ -154,6 +168,5 @@ class TestReproLintWiring:
         assert repro_main([
             "lint", str(leaky_tree / "src"),
             "--project", "--select", "PRIV-003",
-            "--cache-file", str(leaky_tree / "cache.json"),
         ]) == 1
         assert "PRIV-003" in capsys.readouterr().out

@@ -51,7 +51,7 @@ class TestOptions:
     def test_json_format(self, violating_file, capsys):
         assert analysis_main([str(violating_file), "--format", "json"]) == 1
         document = json.loads(capsys.readouterr().out)
-        assert document["schema_version"] == 2
+        assert document["schema_version"] == 3
         # by_rule is zero-filled over every module rule that ran so CI
         # artifacts diff cleanly run-to-run.
         assert document["summary"]["by_rule"]["RNG-001"] == 1
@@ -101,7 +101,6 @@ class TestSarifFormat:
         (tmp_path / "ok.py").write_text(_CLEAN)
         assert analysis_main([
             str(tmp_path), "--project", "--format", "sarif",
-            "--cache-file", str(tmp_path / "cache.json"),
         ]) == 0
         document = json.loads(capsys.readouterr().out)
         [run] = document["runs"]
@@ -116,7 +115,6 @@ class TestStats:
         (tmp_path / "ok.py").write_text(_CLEAN)
         assert analysis_main([
             str(tmp_path), "--project", "--stats",
-            "--cache-file", str(tmp_path / "cache.json"),
         ]) == 0
         out = capsys.readouterr().out
         assert "per-rule timings:" in out
@@ -127,7 +125,6 @@ class TestStats:
         (tmp_path / "ok.py").write_text(_CLEAN)
         assert analysis_main([
             str(tmp_path), "--project", "--format", "json",
-            "--cache-file", str(tmp_path / "cache.json"),
         ]) == 0
         document = json.loads(capsys.readouterr().out)
         assert "rule_timings" not in document.get("stats", {})

@@ -78,14 +78,16 @@ class TestJson:
             suppressed={"PRIV-001": 2},
             baselined=4,
             rules_run=["RNG-001", "PRIV-001", "PRIV-003"],
-            stats={"cache_hit": True},
+            stats={"total_files": 3, "analyzed_files": 3},
         ))
         assert document["summary"]["by_rule"] == {
             "PRIV-001": 1, "PRIV-003": 0, "RNG-001": 2,
         }
         assert document["summary"]["suppressed_total"] == 2
         assert document["summary"]["baselined"] == 4
-        assert document["stats"] == {"cache_hit": True}
+        assert document["stats"] == {
+            "total_files": 3, "analyzed_files": 3,
+        }
 
     def test_trace_round_trips(self):
         finding = Finding(
@@ -168,7 +170,7 @@ class TestSarif:
     def test_clean_run_is_successful_with_properties(self):
         document = json.loads(render_sarif(
             [], suppressed={"THR-003": 2}, baselined=1,
-            stats={"cache_hit": True},
+            stats={"total_files": 3, "analyzed_files": 3},
         ))
         [run] = document["runs"]
         assert run["results"] == []
@@ -176,7 +178,9 @@ class TestSarif:
         assert invocation["executionSuccessful"] is True
         assert run["properties"]["suppressed"] == {"THR-003": 2}
         assert run["properties"]["baselined"] == 1
-        assert run["properties"]["stats"] == {"cache_hit": True}
+        assert run["properties"]["stats"] == {
+            "total_files": 3, "analyzed_files": 3,
+        }
 
     def test_windows_paths_normalize_to_uri_slashes(self):
         finding = Finding(

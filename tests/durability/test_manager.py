@@ -122,6 +122,31 @@ class TestRotation:
         assert [seq for seq, __ in recovered.entries] == [4]
         assert recovered.last_seq == 4
 
+    def test_log_repaired_below_the_snapshot_keeps_new_writes(
+        self, tmp_path
+    ):
+        with DurabilityManager(tmp_path) as manager:
+            manager.bind(lambda: {"position": manager.wal.last_seq})
+            for position in range(10):
+                manager.append({"pos": position})
+            manager.checkpoint()
+        [segment] = list_segments(tmp_path)
+        frames = segment.read_bytes().splitlines(keepends=True)
+        frame = bytearray(frames[6])
+        frame[len(frame) // 2] ^= 0x01
+        frames[6] = bytes(frame)
+        segment.write_bytes(b"".join(frames))
+        with DurabilityManager(tmp_path) as manager:
+            # Repair cuts the log to seq 6, below the seq-10 snapshot.
+            assert manager.wal.last_seq == 10
+            assert manager.append({"pos": 10}) == 11
+        for __ in range(2):
+            with DurabilityManager(tmp_path) as manager:
+                recovered = manager.recover()
+            assert recovered.snapshot_state == {"position": 10}
+            assert [seq for seq, __ in recovered.entries] == [11]
+            assert recovered.last_seq == 11
+
 
 class TestRecover:
     def test_empty_directory(self, tmp_path):

@@ -159,6 +159,15 @@ class TestGracefulDegradation:
         assert status == 413
         assert reply["error"]["code"] == "body-too-large"
 
+    @pytest.mark.parametrize("length", ["-1", "ten"])
+    def test_bad_content_length_400(self, server, length):
+        status, reply = _call(
+            server, "/ingest", body={"records": _records(1)},
+            content_length=length,
+        )
+        assert status == 400
+        assert reply["error"]["code"] == "bad-length"
+
     def test_missing_payload_keys_400(self, server):
         status, reply = _call(server, "/ingest", body={"rows": [[1.0]]})
         assert status == 400

@@ -144,6 +144,6 @@ def test_both_lint_entry_points_still_work(tmp_path):
         listed = _run("-m", *entry, "--list-rules", cwd=tmp_path)
         assert listed.returncode == 0, listed.stderr
         assert "RNG-001" in listed.stdout
-        found = _run("-m", *entry, "--no-cache", "src", cwd=tmp_path)
+        found = _run("-m", *entry, "src", cwd=tmp_path)
         assert found.returncode == 1, found.stderr
         assert "RNG-001" in found.stdout
